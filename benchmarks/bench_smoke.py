@@ -2,8 +2,9 @@
 
 Re-times the exact B0 window (static 16 B design, uniform load 0.02,
 seed 1, 400 measured cycles, tracing off) with best-of-N manual timing and
-compares ``cycles_per_sec`` against the ``engine.cycles_per_sec`` recorded
-in the committed ``results/BENCH_b0.json``.  Exits 1 when the current rate
+compares ``cycles_per_sec`` against the rate recorded for that kernel in
+the committed ``results/BENCH_b0.json`` (``engine`` is the registry
+default, ``engine_<name>`` any other).  Exits 1 when the current rate
 falls more than ``--threshold`` (default 20%) below the baseline — the
 cheap CI tripwire between full pytest-benchmark runs, and the guard that
 keeps observability instrumentation off the tracing-off hot path.
@@ -11,7 +12,7 @@ keeps observability instrumentation off the tracing-off hot path.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py [--repeats N]
-        [--threshold FRACTION] [--baseline FILE]
+        [--threshold FRACTION] [--baseline FILE] [--kernel NAME]
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import time
 from pathlib import Path
 
 from repro.experiments import ExperimentRunner, FAST_CONFIG
-from repro.noc import Simulator
+from repro.noc import DEFAULT_KERNEL, Simulator, list_kernels
 from repro.params import SimulationParams
 from repro.traffic import ProbabilisticTraffic
 
@@ -33,7 +34,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 SIM = SimulationParams(warmup_cycles=0, measure_cycles=400, drain_cycles=0)
 
 
-def measure(repeats: int, kernel: str = "fast") -> tuple[int, float]:
+def measure(repeats: int, kernel: str = DEFAULT_KERNEL) -> tuple[int, float]:
     """Best-of-``repeats`` wall time of one B0 window; returns (cycles, s)."""
     runner = ExperimentRunner(FAST_CONFIG)
     design = runner.design("static", 16)
@@ -60,15 +61,17 @@ def main(argv=None) -> int:
     parser.add_argument("--baseline", type=Path,
                         default=RESULTS_DIR / "BENCH_b0.json",
                         help="committed BENCH_b0.json to compare against")
-    parser.add_argument("--kernel", choices=("fast", "reference", "batch"),
-                        default="fast",
-                        help="execution kernel to time (default: fast)")
+    parser.add_argument("--kernel",
+                        choices=[row["name"] for row in list_kernels()],
+                        default=DEFAULT_KERNEL,
+                        help="execution kernel to time "
+                             f"(default: {DEFAULT_KERNEL})")
     args = parser.parse_args(argv)
 
     baseline = json.loads(args.baseline.read_text())
-    key = {"fast": "engine", "reference": "engine_reference",
-           "batch": "engine_batch"}[args.kernel]
-    target = baseline.get(key, baseline["engine"])["cycles_per_sec"]
+    key = ("engine" if args.kernel == DEFAULT_KERNEL
+           else f"engine_{args.kernel}")
+    target = baseline[key]["cycles_per_sec"]
 
     cycles, wall = measure(args.repeats, kernel=args.kernel)
     if cycles != SIM.measure_cycles:

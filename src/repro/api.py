@@ -99,7 +99,7 @@ def simulate(
     :class:`~repro.faults.FaultSchedule`): the design degrades gracefully
     around structural faults and dodges transient ones at runtime — see
     ``docs/faults.md``.
-    ``kernel`` selects the cycle-execution kernel (``"fast"`` /
+    ``kernel`` selects the cycle-execution kernel (``"batch"`` /
     ``"reference"``); the two are bit-identical (see
     :mod:`repro.noc.kernel`), so this never changes results, caching, or
     provenance — only wall-clock time.
@@ -183,7 +183,6 @@ def sweep(
     progress: Optional[ProgressFn] = None,
     trace_dir: Union[str, Path, None] = None,
     stage_profile: bool = False,
-    batch: bool = False,
     online: Union[bool, str, None] = None,
 ) -> SweepReport:
     """Run the (styles x widths x workloads x seeds) grid.
@@ -200,13 +199,10 @@ def sweep(
     either way (the kernel never enters a job digest).  ``topology``
     runs every cell on the named substrate provider (non-mesh providers
     fork the result addresses — see :func:`~repro.exec.jobs.sweep_grid`).
-    ``batch`` runs every cache miss in one process, advanced in
-    lock-step cycle slices (digest-identical to the serial path;
-    ``jobs`` is then ignored).  ``online`` makes every cell a
-    closed-loop control-plane run (``True`` for defaults or a
-    :class:`~repro.control.loop.ControlConfig` spec string); styles are
-    then restricted to ``baseline``/``adaptive`` and the control spec
-    joins every cell's digest.
+    ``online`` makes every cell a closed-loop control-plane run (``True``
+    for defaults or a :class:`~repro.control.loop.ControlConfig` spec
+    string); styles are then restricted to ``baseline``/``adaptive`` and
+    the control spec joins every cell's digest.
     """
     if faults is not None and not isinstance(faults, str):
         faults = faults.canonical()
@@ -231,7 +227,6 @@ def sweep(
         progress=progress,
         trace_dir=trace_dir,
         stage_profile=stage_profile,
-        batch=batch,
     )
 
 

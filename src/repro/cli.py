@@ -430,8 +430,7 @@ def cmd_sweep(args) -> int:
               f"{event['job']}{wall}", file=sys.stderr)
 
     report = run_sweep(specs, config=config, store=store, jobs=args.jobs,
-                       progress=progress, trace_dir=trace_dir,
-                       batch=args.batch)
+                       progress=progress, trace_dir=trace_dir)
     summary = report.summary()
     payload = {
         "summary": summary,
@@ -1026,11 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                 topology=True,
                 trace_help="directory: write one JSONL event trace per "
                            "simulated cell (bypasses the cache)")
-    sweep.add_argument(
-        "--batch", action="store_true",
-        help="advance every cache miss in one process in lock-step cycle "
-             "slices (digest-identical to the serial path; --jobs is then "
-             "ignored)")
     sweep.add_argument("--out", help="also write results + telemetry JSON")
     sweep.add_argument(
         "--online", nargs="?", const="", default=None, metavar="SPEC",

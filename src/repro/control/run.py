@@ -153,7 +153,7 @@ def prepare_control(
     observation=None,
     stage_profile=None,
 ) -> PreparedRun:
-    """Build one online cell (the ``prepare_spec`` hook for control cells).
+    """Build one online cell without running it.
 
     Same caching contract as ``prepare_unicast`` — memo and store hits
     return immediately — plus a ``control_journal`` attribute on the

@@ -72,8 +72,7 @@ class DesignPoint:
         """A fresh simulation instance of this design.
 
         ``kernel`` selects the cycle-execution kernel (a registered name:
-        ``"fast"`` / ``"batch"`` / ``"reference"``); None takes the
-        default.  Raises
+        ``"batch"`` / ``"reference"``); None takes the default.  Raises
         :class:`~repro.noc.kernel.KernelCapabilityError` when the chosen
         kernel cannot execute this design's fault schedule.
         """

@@ -24,8 +24,7 @@ Quick start::
 """
 
 from repro.exec.engine import (
-    BATCH_SLICE_CYCLES, JobExecutor, JobOutcome, SweepReport, execute_spec,
-    prepare_spec, run_sweep,
+    JobExecutor, JobOutcome, SweepReport, execute_spec, run_sweep,
 )
 from repro.exec.jobs import JobSpec, job_digest, normalize_spec, sweep_grid
 from repro.exec.serialize import (
@@ -34,7 +33,6 @@ from repro.exec.serialize import (
 from repro.exec.store import SCHEMA_VERSION, ResultStore, StoreStats
 
 __all__ = [
-    "BATCH_SLICE_CYCLES",
     "JobExecutor",
     "JobOutcome",
     "JobSpec",
@@ -49,7 +47,6 @@ __all__ = [
     "execute_spec",
     "job_digest",
     "normalize_spec",
-    "prepare_spec",
     "run_sweep",
     "sweep_grid",
 ]

@@ -151,51 +151,6 @@ def execute_spec(
     raise ValueError(f"cannot execute job kind {spec.kind!r}")
 
 
-def prepare_spec(
-    runner: "ExperimentRunner",
-    spec: JobSpec,
-    observation=None,
-    stage_profile=None,
-):
-    """Build one spec's cell without running it (the batch executor).
-
-    Returns the runner's :class:`~repro.experiments.runner.PreparedRun`:
-    memo/store hits come back with an immediate ``result``; misses carry
-    the ready :class:`~repro.noc.simulator.Simulator`, which the lock-step
-    loop advances alongside every other miss in the batch.
-    """
-    if spec.kind == "unicast":
-        if dict(spec.extra).get("control") is not None:
-            from repro.control.run import prepare_control
-
-            return prepare_control(runner, spec, observation, stage_profile)
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.prepare_unicast(
-            design, spec.workload, seed=spec.seed, observation=observation,
-            faults=dict(spec.extra).get("faults"),
-            stage_profile=stage_profile,
-        )
-    if spec.kind == "multicast":
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.prepare_multicast(
-            design, spec.realization, spec.locality_percent,
-            observation=observation, stage_profile=stage_profile,
-        )
-    raise ValueError(f"cannot batch-execute job kind {spec.kind!r}")
-
-
 _WORKER_RUNNER: Optional["ExperimentRunner"] = None
 
 
@@ -320,7 +275,6 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
     trace_dir=None,
     stage_profile: bool = False,
-    batch: bool = False,
 ) -> SweepReport:
     """Run every spec, consulting/filling ``store``, ``jobs``-wide.
 
@@ -334,10 +288,6 @@ def run_sweep(
     stage; the totals surface as ``stage_*_s`` keys in job profiles and
     ``report.summary()["profile"]`` (opt-in: the timed cycle path costs
     throughput, so plain sweeps keep the untimed kernel loop).
-    ``batch`` runs every miss in *one* process, advanced in lock-step
-    cycle slices instead of cell-after-cell (see :func:`_sweep_batch`);
-    it is an in-process mode, so ``jobs`` is ignored, and the report is
-    digest-identical to the serial path.
     """
     specs = [normalize_spec(spec, config) for spec in specs]
     start = time.perf_counter()
@@ -392,10 +342,7 @@ def run_sweep(
         )
         emit("done", i, wall_s=wall)
 
-    if pending and batch:
-        _sweep_batch(specs, pending, finish, emit, config, params, retries,
-                     trace_paths, stage_profile)
-    elif pending and jobs > 1:
+    if pending and jobs > 1:
         _sweep_parallel(specs, pending, finish, emit, config, params,
                         jobs, retries, trace_paths, stage_profile)
     elif pending:
@@ -453,118 +400,6 @@ def _sweep_serial(specs, pending, finish, emit, config, params,
             finish(i, payload, wall, result.stats.activity.cycles,
                    attempts, prof.as_dict())
             break
-
-
-#: Cycles each batch-mode cell advances per lock-step turn.  Any value
-#: produces identical results (slicing is invisible to the simulation —
-#: see SimulatorDrive); this one keeps per-turn bookkeeping overhead
-#: small while cells still interleave finely enough for early-drain
-#: cells to retire promptly.
-BATCH_SLICE_CYCLES = 256
-
-
-def _sweep_batch(specs, pending, finish, emit, config, params,
-                 retries, trace_paths, stage_profile=False,
-                 slice_cycles: int = BATCH_SLICE_CYCLES) -> None:
-    """In-process lock-step executor: all misses advance together.
-
-    Every pending cell is *prepared* (network + traffic built, nothing
-    run), then the loop round-robins over the live cells advancing each
-    by ``slice_cycles`` through its :class:`SimulatorDrive`.  A cell that
-    completes (or was a runner-level memo/store hit at prepare time) is
-    finalized immediately; a cell that raises is rebuilt from scratch up
-    to ``retries`` extra times.  Because each cell owns its network,
-    sources, and RNG state, interleaving changes nothing observable —
-    reports are digest-identical to `_sweep_serial`'s.
-    """
-    from collections import deque
-
-    from repro.experiments.runner import ExperimentRunner
-    from repro.obs.profile import StageProfile
-
-    runner = ExperimentRunner(config, params)
-    attempts = dict.fromkeys(pending, 0)
-
-    class _Cell:
-        __slots__ = ("index", "prep", "drive", "observation",
-                     "sp", "prof", "wall")
-
-    def build(i: int) -> _Cell:
-        cell = _Cell()
-        cell.index = i
-        cell.prof = Profiler()
-        cell.observation = _trace_observation(trace_paths[i])
-        cell.sp = StageProfile() if stage_profile else None
-        start = time.perf_counter()
-        cell.prep = prepare_spec(runner, specs[i], cell.observation,
-                                 cell.sp)
-        cell.drive = (
-            None if cell.prep.result is not None
-            else cell.prep.simulator.start()
-        )
-        cell.wall = time.perf_counter() - start
-        return cell
-
-    def finalize(cell: _Cell) -> None:
-        i = cell.index
-        start = time.perf_counter()
-        if cell.prep.result is not None:
-            result = cell.prep.result
-        else:
-            result = cell.prep.finish(cell.drive.finish())
-        prof = cell.prof
-        with prof.phase("encode"):
-            payload = encode_result(result)
-        if cell.observation is not None:
-            with prof.phase("trace_write"):
-                cell.observation.tracer.write_jsonl(trace_paths[i])
-        if cell.sp is not None and cell.sp.cycles:
-            prof.merge(cell.sp.as_dict())
-        cell.wall += time.perf_counter() - start
-        finish(i, payload, cell.wall, result.stats.activity.cycles,
-               attempts[i], prof.as_dict())
-
-    def rebuild_or_raise(i: int) -> Optional[_Cell]:
-        if attempts[i] > retries:
-            raise
-        attempts[i] += 1
-        emit("retry", i, attempts=attempts[i])
-        try:
-            return build(i)
-        except Exception:
-            return rebuild_or_raise(i)
-
-    live: deque = deque()
-    for i in pending:
-        attempts[i] += 1
-        try:
-            cell = build(i)
-        except Exception:
-            cell = rebuild_or_raise(i)
-        if cell.drive is None:
-            finalize(cell)
-        else:
-            live.append(cell)
-
-    while live:
-        cell = live.popleft()
-        start = time.perf_counter()
-        try:
-            with cell.prof.phase("simulate"):
-                done = cell.drive.advance(slice_cycles)
-        except Exception:
-            cell.wall += time.perf_counter() - start
-            replacement = rebuild_or_raise(cell.index)
-            if replacement.drive is None:
-                finalize(replacement)
-            else:
-                live.append(replacement)
-            continue
-        cell.wall += time.perf_counter() - start
-        if done:
-            finalize(cell)
-        else:
-            live.append(cell)
 
 
 def _sweep_parallel(specs, pending, finish, emit, config, params,

@@ -57,10 +57,8 @@ class PreparedRun:
     Either ``result`` is already set (memo or store hit — nothing to
     simulate) or ``simulator`` holds the ready cell and :meth:`finish`
     packages its statistics into a :class:`RunResult` (applying the same
-    store/memo writes the monolithic ``run_*`` path performs).  The
-    lock-step batch executor (:func:`repro.exec.run_sweep` with
-    ``batch=True``) drives many prepared cells' simulators concurrently
-    via :meth:`Simulator.start`.
+    store/memo writes the monolithic ``run_*`` path performs).  A caller
+    that wants to drive the cell in slices uses :meth:`Simulator.start`.
     """
 
     result: Optional[RunResult] = None

@@ -15,7 +15,7 @@ backward compatibility; address the topology registry through its module
 """
 
 from repro.noc.kernel import (
-    CAPABILITIES, DEFAULT_KERNEL, KERNELS, BatchKernel, FastKernel,
+    CAPABILITIES, DEFAULT_KERNEL, KERNELS, BatchKernel,
     KernelCapabilityError, KernelSpec, ReferenceKernel, SimKernel,
     get_kernel, get_spec, kernel_capabilities, list_kernels, register,
     resolve_kernel, unregister,
@@ -44,7 +44,6 @@ __all__ = [
     "DEFAULT_TOPOLOGY",
     "DisconnectedMeshError",
     "EJECT",
-    "FastKernel",
     "KERNELS",
     "KernelCapabilityError",
     "KernelSpec",

@@ -3,16 +3,14 @@
 A :class:`~repro.noc.kernel.base.SimKernel` owns the per-cycle event
 state (arrival/ejection wheels) and executes the pipeline stages against
 a :class:`~repro.noc.network.Network`, which retains topology, wiring,
-and the injection API.  Three kernels ship:
+and the injection API.  Two kernels ship:
 
 * ``reference`` — the original loop, stage by stage, with internal
   assertions.  The correctness oracle.
-* ``fast`` (default) — allocation-free stepping with preallocated
-  per-router tables; bit-identical results by construction, enforced by
-  the differential suite in ``tests/test_kernel_equiv.py``.
-* ``batch`` — struct-of-arrays state with stage-bulk scans over
-  active-index vectors; the throughput kernel (same differential
-  contract).
+* ``batch`` (default) — struct-of-arrays state with stage-bulk scans
+  over active-index vectors; the production engine, bit-identical to
+  the oracle by contract, enforced by the differential suite in
+  ``tests/test_kernel_equiv.py``.
 
 The registry is public: ``register(name, factory, capabilities={...})``
 adds a kernel, declaring which features it can execute (see
@@ -40,7 +38,6 @@ from repro.noc.kernel.base import (
     unregister,
 )
 from repro.noc.kernel.batch import BatchKernel
-from repro.noc.kernel.fast import FastKernel
 from repro.noc.kernel.reference import ReferenceKernel
 
 __all__ = [
@@ -51,7 +48,6 @@ __all__ = [
     "KernelSpec",
     "SimKernel",
     "ReferenceKernel",
-    "FastKernel",
     "BatchKernel",
     "get_kernel",
     "get_spec",

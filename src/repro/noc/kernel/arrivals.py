@@ -3,8 +3,9 @@
 Extracted verbatim from the pre-kernel ``Network._deliver_arrivals`` /
 ``Network._complete_ejections``.  Both operate on an event wheel the
 calling kernel owns: the reference kernel passes ``defaultdict(list)``
-buckets keyed by absolute cycle; the fast kernel re-implements these
-stages against its ring buffer (see :mod:`repro.noc.kernel.fast`).
+buckets keyed by absolute cycle; the batch kernel re-implements these
+stages against its slot-addressed ring (see
+:mod:`repro.noc.kernel.batch`).
 
 Ordering is semantically load-bearing in both stages:
 

@@ -10,7 +10,7 @@ multicast hooks, fault state, and the observation sink.  Swapping kernels
 therefore never changes what traffic generators, multicast engines, or the
 fault subsystem see.
 
-Three kernels ship (see :mod:`repro.noc.kernel` for the shortlist); the
+Two kernels ship (see :mod:`repro.noc.kernel` for the shortlist); the
 registry is *public*: third-party kernels join with::
 
     from repro.noc import kernel
@@ -28,9 +28,7 @@ Every registration declares what the kernel can execute, from
 * ``"multicast"`` — executes multi-target forks installed through
   ``Network.mc_targets_fn`` (synchronized replication);
 * ``"stage_profile"`` — supports the per-stage
-  :class:`~repro.obs.profile.StageProfile` timing path;
-* ``"batch_step"`` — provides :meth:`SimKernel.step_block`, the bulk
-  cycle loop drivers use to amortize per-cycle dispatch.
+  :class:`~repro.obs.profile.StageProfile` timing path.
 
 Selection *fails fast*: :func:`require_capabilities` (called by the
 :class:`~repro.noc.simulator.Simulator` preamble, ``Network.use_kernel``,
@@ -75,10 +73,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.profile import StageProfile
 
 #: The kernel a Network uses when none is requested.
-DEFAULT_KERNEL = "fast"
+DEFAULT_KERNEL = "batch"
 
 #: The capability vocabulary kernels declare from (see module docstring).
-CAPABILITIES = frozenset({"faults", "multicast", "stage_profile", "batch_step"})
+CAPABILITIES = frozenset({"faults", "multicast", "stage_profile"})
 
 
 @dataclass(frozen=True)
@@ -246,8 +244,7 @@ class SimKernel:
     Subclasses implement :meth:`step` (advance the bound network by one
     cycle) and may override :meth:`rewire` (invalidate topology-derived
     caches after :meth:`~repro.noc.network.Network.apply_shortcuts`) and
-    :meth:`step_block` (bulk stepping, declared via the ``batch_step``
-    capability).
+    :meth:`step_block` (bulk stepping).
 
     ``stage_profile`` — normally ``None`` — attaches a
     :class:`~repro.obs.profile.StageProfile` that accumulates per-stage
@@ -277,8 +274,8 @@ class SimKernel:
         ``stop`` is checked before each cycle; returning True ends the
         block early (the drain-phase termination test).  The base
         implementation is the plain loop every driver historically ran;
-        kernels declaring ``batch_step`` override it with a loop that
-        keeps hot state in locals across the whole block.
+        a kernel may override it with a loop that keeps hot state in
+        locals across the whole block.
         """
         step = self.step
         if tick is None and stop is None:
@@ -330,7 +327,7 @@ def replay_active_ops(active: set, ops: list) -> None:
     The switch stage iterates ``net.active`` while sends add downstream
     routers and drained routers are removed.  The original code snapshotted
     the set with ``list(...)`` every cycle and mutated in place; the
-    optimized kernels instead iterate the live set and record each mutation
+    kernels instead iterate the live set and record each mutation
     as an int — ``rid + 1`` for an add, ``-(rid + 1)`` for a discard —
     replayed here after the pass.  Because a CPython set's internal layout
     (and so its iteration order) is a function of the exact add/discard

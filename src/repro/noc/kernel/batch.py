@@ -1,9 +1,9 @@
 """The batch kernel: struct-of-arrays state, stage-bulk scans.
 
-Third kernel in the registry, same exact-results contract as ``fast``
-(see :mod:`repro.noc.kernel.base`): for any run configuration the stats
-digests and trace streams match the reference bit for bit.  What changes
-is how each cycle finds its work:
+The production engine and registry default, held to the exact-results
+contract (see :mod:`repro.noc.kernel.base`): for any run configuration
+the stats digests and trace streams match the reference bit for bit.
+What changes is how each cycle finds its work:
 
 * **Struct-of-arrays state** (:class:`~repro.noc.kernel.soa.SoAState`).
   Per-VC pipeline scalars live in flat parallel arrays indexed by a
@@ -14,8 +14,8 @@ is how each cycle finds its work:
 * **Active-index vectors.**  Each router keeps two sorted slot lists —
   ``pend`` (ROUTE/VA heads) and ``act`` (ACTIVE ones) — maintained at
   state transitions.  The RC/VA and switch stages iterate exactly the
-  occupied slots, replacing the fast kernel's port×VC state scan
-  (~6×VCs reads per active router to find a handful of heads).  Because
+  occupied slots instead of scanning every port×VC state (~6×VCs
+  reads per active router to find a handful of heads).  Because
   slot numbering follows (port insertion order, VC index), ascending
   slot order *is* the reference arbitration scan order, so candidate
   lists come out pre-sorted and per-port request order is free.
@@ -25,8 +25,9 @@ is how each cycle finds its work:
   VC object chasing.
 * **Batched counters.**  Activity counts and per-link flit tallies
   accumulate in locals/flat arrays and flush into ``NetworkStats`` at
-  the end of every :meth:`step` / :meth:`step_block` — nothing reads
-  them mid-cycle, and every public API boundary sees exact totals.
+  the end of every :meth:`step` / :meth:`step_block` and before every
+  :meth:`rewire` — nothing reads them mid-cycle, and every public API
+  boundary sees exact totals.
   Per-packet records (injections, deliveries, latency, traces) stay
   per-event, so windows, drains, and observation are unaffected.
 
@@ -35,8 +36,9 @@ sequence (including the transient drop/re-add of routers whose only
 flits are still in flight), deferred-op replay order, per-port
 round-robin arithmetic, same-cycle credit returns, and the multicast
 capacity quirk (tail flits read the released head's empty target list).
-``tests/test_kernel_equiv.py`` holds all three kernels to identical
-stats and trace digests across traffic × routing × faults × multicast.
+``tests/test_kernel_equiv.py`` holds it to the reference's stats and
+trace digests across traffic × routing × faults × multicast × control
+retunes.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ class BatchKernel(SimKernel):
         super().__init__(net)
         self._ops: list[int] = []
         self._acc: list = [0, 0, 0, 0, 0, 0, 0.0]
+        self._s: Optional[SoAState] = None
         self.rewire()
 
     # -- cache construction --------------------------------------------------
@@ -77,9 +80,13 @@ class BatchKernel(SimKernel):
 
         Only called on a quiescent network (construction,
         ``use_kernel``, ``apply_shortcuts``), so rebuilding from the
-        all-idle object model is exact.
+        all-idle object model is exact.  A control retune lands
+        mid-``step_block`` (the tick calls ``apply_shortcuts``), so the
+        per-link tallies the old state still holds are flushed first.
         """
         net = self.net
+        if self._s is not None:
+            self._flush()
         s = self._s = SoAState(net)
         max_latency = 1
         for row in s.links6:
@@ -998,5 +1005,5 @@ class BatchKernel(SimKernel):
 
 register(
     "batch", BatchKernel,
-    capabilities={"faults", "multicast", "stage_profile", "batch_step"},
+    capabilities={"faults", "multicast", "stage_profile"},
 )

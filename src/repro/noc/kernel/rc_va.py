@@ -2,11 +2,10 @@
 
 Extracted verbatim from the pre-kernel ``Network`` methods.  The stage
 functions here are shared by both kernels: the reference kernel calls
-:func:`run_rc_va` directly, while the fast kernel re-implements the outer
-loop (no generator, index-order VC scan) but calls the same
-:func:`compute_route` / :func:`try_va` for everything that touches policy,
-faults, multicast hooks, or observation — so the decision logic exists
-exactly once.
+:func:`run_rc_va` directly, while the batch kernel re-implements the outer
+loop and VA over its slot arrays but calls the same
+:func:`compute_route` for everything that touches policy, faults or
+multicast hooks — so the routing decision logic exists exactly once.
 
 Router iteration order is *not* observable in this stage (VA only
 allocates the router's own output-link VCs), so iterating the live

@@ -4,8 +4,9 @@ This is the pre-refactor ``Network.step`` verbatim, composed from the
 per-stage modules.  It keeps the readable data structures (a
 ``defaultdict`` event wheel keyed by absolute cycle, generator-based VC
 iteration, the internal assertions in ``VirtualChannel.accept_flit``) and
-serves as the oracle the optimized :class:`~repro.noc.kernel.fast.FastKernel`
-is differentially tested against.
+serves as the oracle the production
+:class:`~repro.noc.kernel.batch.BatchKernel` is differentially tested
+against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@
 the structural model — plus the injection API, packet accounting, and the
 ``active`` / ``_ni_busy`` scheduling sets.  The per-cycle pipeline
 execution (arrivals and ejections, interface injection, RC/VA, SA/ST/LT)
-lives in a :mod:`repro.noc.kernel` — ``fast`` by default, ``reference``
+lives in a :mod:`repro.noc.kernel` — ``batch`` by default, ``reference``
 as the differential-testing oracle — selected at construction or swapped
 on a quiescent network with :meth:`Network.use_kernel`.  Traffic
 generators call :meth:`Network.inject`; the simulator calls

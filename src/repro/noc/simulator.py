@@ -73,11 +73,11 @@ class Simulator:
     def start(self) -> "SimulatorDrive":
         """Begin a stepwise run (see :class:`SimulatorDrive`).
 
-        The lock-step batch executor (:func:`repro.exec.run_sweep` with
-        ``batch=True``) interleaves many cells in one process by advancing
-        each drive a bounded slice of cycles at a time; :meth:`run` is the
-        degenerate single-cell driver over the same machinery, so sliced
-        and monolithic execution share one code path and one result.
+        A caller that must interleave the run with its own work (the
+        e2e benchmark's timed windows) advances the drive a bounded slice
+        of cycles at a time; :meth:`run` is the degenerate driver over the
+        same machinery, so sliced and monolithic execution share one code
+        path and one result.
         """
         return SimulatorDrive(self)
 

@@ -194,7 +194,7 @@ class SimulationParams:
     #: simulator attaches an Observation and fills its bounded ring buffer.
     trace_events: bool = False
     trace_buffer_events: int = 65_536
-    #: Cycle-kernel request (``"fast"`` / ``"reference"``); ``None`` keeps
+    #: Cycle-kernel request (``"batch"`` / ``"reference"``); ``None`` keeps
     #: whatever kernel the network was built with.  Purely an execution
     #: strategy — both kernels are bit-identical — so this field is
     #: excluded from result/job digests (a kernel choice must never fork

@@ -354,21 +354,6 @@ class TestSweepCommand:
         ]) == 0
         assert len(list(trace_dir.glob("*.jsonl"))) == 1
 
-    def test_sweep_batch_matches_serial(self, tmp_path, capsys):
-        """``sweep --batch`` reports the same results as the serial path."""
-        argv = [
-            "sweep", "--styles", "baseline,static", "--widths", "16",
-            "--workloads", "uniform", "--fast", "--json", "--no-cache",
-        ]
-        assert main(argv) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(argv + ["--batch"]) == 0
-        batch = json.loads(capsys.readouterr().out)
-        strip = ("wall_s", "profile")
-        for a, b in zip(serial["jobs"], batch["jobs"]):
-            assert {k: v for k, v in a.items() if k not in strip} == \
-                   {k: v for k, v in b.items() if k not in strip}
-
 
 class TestKernelsCommand:
     """``repro kernels list`` + the registry-driven ``--kernel`` choices."""
@@ -376,9 +361,10 @@ class TestKernelsCommand:
     def test_lists_registry_rows(self, capsys):
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
-        for name in ("fast", "batch", "reference"):
-            assert name in out
-        assert "* fast" in out          # default marker
+        # Exactly the two registered kernels, default marked and first.
+        rows = [line.split("[")[0].split()
+                for line in out.splitlines() if "[" in line]
+        assert rows == [["*", "batch"], ["reference"]]
 
     def test_json_rows_match_registry(self, capsys):
         from repro.noc.kernel import list_kernels
@@ -387,7 +373,7 @@ class TestKernelsCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["items"] == list_kernels()
         assert [row["name"] for row in payload["items"]] == \
-               ["fast", "batch", "reference"]
+               ["batch", "reference"]
 
     def test_kernel_choices_track_registry(self):
         """Every registered kernel is accepted by ``--kernel``."""

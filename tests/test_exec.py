@@ -294,24 +294,6 @@ class TestSweep:
         assert serial.misses == parallel.misses == len(GRID)
         assert grid_bytes(serial.results) == grid_bytes(parallel.results)
 
-    def test_batch_identical_to_serial(self, tmp_path):
-        """Lock-step batch execution is digest-identical to per-cell runs."""
-        serial = run_sweep(GRID, config=CONFIG, params=PARAMS,
-                           store=ResultStore(tmp_path / "serial"), jobs=1)
-        batch = run_sweep(GRID, config=CONFIG, params=PARAMS,
-                          store=ResultStore(tmp_path / "batch"), batch=True)
-        assert serial.misses == batch.misses == len(GRID)
-        assert grid_bytes(serial.results) == grid_bytes(batch.results)
-        for a, b in zip(serial.outcomes, batch.outcomes):
-            assert a.result.stats.digest() == b.result.stats.digest()
-
-    def test_batch_warm_rerun_simulates_nothing(self, store):
-        run_sweep(GRID, config=CONFIG, params=PARAMS, store=store,
-                  batch=True)
-        warm = run_sweep(GRID, config=CONFIG, params=PARAMS, store=store,
-                         batch=True)
-        assert warm.hits == len(GRID) and warm.misses == 0
-
     def test_warm_rerun_simulates_nothing(self, store):
         cold = run_sweep(GRID, config=CONFIG, params=PARAMS,
                          store=store, jobs=1)

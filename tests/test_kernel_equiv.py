@@ -1,17 +1,19 @@
-"""Differential equivalence suite: Fast/BatchKernel vs ReferenceKernel.
+"""Differential equivalence suite: BatchKernel vs ReferenceKernel.
 
 The kernel contract (see ``src/repro/noc/kernel/__init__.py``) is *bit
 identity*: for any (seed, traffic, shortcut set, fault schedule, multicast
-configuration), every registered kernel must produce identical
-:class:`~repro.noc.stats.NetworkStats` — verified here via
-:meth:`NetworkStats.digest`, a SHA-256 over the canonical JSON of every
-counter, histogram, and per-packet latency — and, with tracing on,
+configuration, control-retune sequence), every registered kernel must
+produce identical :class:`~repro.noc.stats.NetworkStats` — verified here
+via :meth:`NetworkStats.digest`, a SHA-256 over the canonical JSON of
+every counter, histogram, and per-packet latency — and, with tracing on,
 identical event streams.  Each case below runs the same cell once per
 kernel on a fresh runner (no memo or store sharing) and compares digests.
 
-Also covered: the ``__slots__`` audit for hot-path classes, kernel
-registry / capability-gating / resolver guards, digest neutrality of the
-kernel knob, and :class:`~repro.obs.profile.StageProfile` accumulation.
+Also covered: slice invariance of :class:`~repro.noc.simulator.SimulatorDrive`,
+the ``__slots__`` audit for hot-path classes, kernel registry /
+capability-gating / resolver guards (including the refusal of the removed
+``fast`` kernel and ``sweep --batch``), digest neutrality of the kernel
+knob, and :class:`~repro.obs.profile.StageProfile` accumulation.
 """
 
 from __future__ import annotations
@@ -22,6 +24,11 @@ import json
 
 import pytest
 
+import repro
+from repro.campaign import CampaignError, spec_from_dict
+from repro.cli import main
+from repro.control import run_closed_loop
+from repro.control.run import control_spec, prepare_control
 from repro.exec.jobs import job_digest, sweep_grid
 from repro.experiments import FAST_CONFIG, ExperimentRunner
 from repro.noc import (
@@ -29,7 +36,6 @@ from repro.noc import (
     DEFAULT_KERNEL,
     KERNELS,
     BatchKernel,
-    FastKernel,
     KernelCapabilityError,
     KernelSpec,
     ReferenceKernel,
@@ -47,7 +53,8 @@ from repro.noc.router import InputPort, OutputLink, Router, VirtualChannel
 from repro.obs import EventTracer, Observation, StageProfile
 from repro.params import DEFAULT_PARAMS, SimulationParams
 
-KERNEL_NAMES = ("reference", "fast", "batch")
+#: The oracle and the production engine — the whole registry.
+KERNEL_NAMES = ("reference", "batch")
 
 #: Short but non-trivial windows: long enough to exercise warmup boundary
 #: crossings, escape timeouts, and full drain; short enough to keep the
@@ -55,6 +62,11 @@ KERNEL_NAMES = ("reference", "fast", "batch")
 SIM = SimulationParams(warmup_cycles=50, measure_cycles=300, drain_cycles=2_000)
 
 FAULTS = "link:30-31@20-140;router:55@150-230"
+
+#: A closed-loop cell whose two phases each trigger an applied retune
+#: (``Network.apply_shortcuts`` from a source tick, mid-``step_block``).
+CONTROL_WORKLOAD = "phased:hotBiDF+uniDF@300"
+CONTROL_SPEC = "epoch=200,min=5"
 
 
 def _config(kernel: str):
@@ -69,6 +81,13 @@ def _fresh_runner(kernel: str) -> ExperimentRunner:
     # One runner per kernel: the memo cache is per-runner and the store is
     # off, so each kernel genuinely simulates.
     return ExperimentRunner(_config(kernel))
+
+
+def _control_runner(kernel: str) -> ExperimentRunner:
+    config = _config(kernel)
+    return ExperimentRunner(dataclasses.replace(
+        config, sim=dataclasses.replace(config.sim, measure_cycles=600),
+    ))
 
 
 def _unicast_digest(kernel, style, workload, *, adaptive=False, faults=None):
@@ -102,7 +121,6 @@ def test_unicast_digests_identical(style, workload, adaptive):
         )
         for kernel in KERNEL_NAMES
     }
-    assert digests["fast"] == digests["reference"]
     assert digests["batch"] == digests["reference"]
 
 
@@ -114,7 +132,6 @@ def test_faulted_run_digests_identical():
         kernel: _unicast_digest(kernel, "static", "uniform", faults=FAULTS)
         for kernel in KERNEL_NAMES
     }
-    assert digests["fast"] == digests["reference"]
     assert digests["batch"] == digests["reference"]
 
 
@@ -137,8 +154,53 @@ def test_multicast_digests_identical(realization, locality):
         result = runner.run_multicast(design, realization, locality)
         assert result.stats is not None
         digests[kernel] = result.stats.digest()
-    assert digests["fast"] == digests["reference"]
     assert digests["batch"] == digests["reference"]
+
+
+# -- control retunes -------------------------------------------------------------
+
+def test_control_retune_digests_identical():
+    # Every applied retune rewires the kernel between two cycles of one
+    # step_block; counters batched before it must survive the rebuild.
+    runs = {
+        kernel: run_closed_loop(_control_runner(kernel), CONTROL_WORKLOAD,
+                                control=CONTROL_SPEC)
+        for kernel in KERNEL_NAMES
+    }
+    ref = runs["reference"]
+    assert ref.journal.counts()["applied"] >= 2
+    assert runs["batch"].journal.digest() == ref.journal.digest()
+    assert runs["batch"].result.stats.digest() == ref.result.stats.digest()
+
+
+# -- slice invariance ------------------------------------------------------------
+
+def _prepared_simulator(kernel: str, cell: str):
+    """A fresh, unrun simulator for one slice-invariance cell."""
+    if cell == "control":
+        return prepare_control(
+            _control_runner(kernel),
+            control_spec(CONTROL_WORKLOAD, control=CONTROL_SPEC),
+        ).simulator
+    runner = _fresh_runner(kernel)
+    return runner.prepare_unicast(
+        runner.design("static", 16), "uniform",
+        faults=FAULTS if cell == "faulted" else None,
+    ).simulator
+
+
+@pytest.mark.parametrize("kernel", KERNEL_NAMES)
+@pytest.mark.parametrize("cell", ["plain", "faulted", "control"])
+def test_sliced_drive_matches_monolithic_run(cell, kernel):
+    # Simulator.run() is one unbounded advance; any slicing schedule —
+    # including ones that split phases and retune epochs mid-block — must
+    # land on the same statistics.
+    whole = _prepared_simulator(kernel, cell).run().digest()
+    for budget in (1, 100, 256):
+        drive = _prepared_simulator(kernel, cell).start()
+        while not drive.advance(budget):
+            pass
+        assert drive.finish().digest() == whole, budget
 
 
 # -- trace streams ---------------------------------------------------------------
@@ -168,9 +230,7 @@ def _trace_digest(kernel: str) -> tuple[str, str]:
 
 
 def test_trace_event_streams_identical():
-    ref = _trace_digest("reference")
-    assert _trace_digest("fast") == ref
-    assert _trace_digest("batch") == ref
+    assert _trace_digest("batch") == _trace_digest("reference")
 
 
 # -- __slots__ audit -------------------------------------------------------------
@@ -187,7 +247,7 @@ HOT_CLASSES = (
 def test_hot_classes_have_no_dict(cls):
     # An instance __dict__ sneaks back in if any class in the MRO lacks
     # __slots__; check a real instance from a built network.
-    runner = ExperimentRunner(_config("fast"))
+    runner = ExperimentRunner(_config("batch"))
     net = runner.design("static", 16).new_network()
     router = net.routers[0]
     instances = {
@@ -205,26 +265,25 @@ def test_hot_classes_have_no_dict(cls):
 # -- registry and selection guards ----------------------------------------------
 
 def test_kernel_registry():
-    assert DEFAULT_KERNEL == "fast"
-    assert isinstance(KERNELS["fast"], KernelSpec)
-    assert KERNELS["fast"].factory is FastKernel
+    assert DEFAULT_KERNEL == "batch"
+    assert sorted(KERNELS) == ["batch", "reference"]
+    assert isinstance(KERNELS["batch"], KernelSpec)
     assert KERNELS["reference"].factory is ReferenceKernel
     assert KERNELS["batch"].factory is BatchKernel
     assert get_kernel("reference") is ReferenceKernel
     assert get_spec("batch").capabilities == frozenset(
-        {"faults", "multicast", "stage_profile", "batch_step"}
+        {"faults", "multicast", "stage_profile"}
     )
     with pytest.raises(KeyError, match="reference"):
         get_kernel("warp-speed")
     # Default kernel is listed first; the rest alphabetically.
     rows = list_kernels()
-    assert [row["name"] for row in rows] == ["fast", "batch", "reference"]
-    assert rows[0]["default"] is True
-    assert "batch_step" in rows[1]["capabilities"]
+    assert [row["name"] for row in rows] == ["batch", "reference"]
+    assert rows[0]["default"] is True and rows[1]["default"] is False
 
 
 def test_register_validates_and_unregisters():
-    class ToyKernel(FastKernel):
+    class ToyKernel(BatchKernel):
         name = "toy"
 
     register("toy", ToyKernel, capabilities={"faults"})
@@ -239,21 +298,46 @@ def test_register_validates_and_unregisters():
         register("toy2", ToyKernel, capabilities={"time-travel"})
     assert "toy2" not in KERNELS
     assert CAPABILITIES == frozenset(
-        {"faults", "multicast", "stage_profile", "batch_step"}
+        {"faults", "multicast", "stage_profile"}
     )
 
 
 def test_resolve_kernel_precedence():
     # Explicit request > the network's constructed kernel > default.
-    assert resolve_kernel("reference", "batch") == "reference"
-    assert resolve_kernel(None, "batch") == "batch"
+    assert resolve_kernel("batch", "reference") == "batch"
+    assert resolve_kernel(None, "reference") == "reference"
     assert resolve_kernel(None, None) == DEFAULT_KERNEL
     with pytest.raises(KeyError, match="warp"):
         resolve_kernel("warp-speed", None)
 
 
+def _run_with_params_kernel():
+    runner = _fresh_runner("fast")      # SimulationParams(kernel="fast")
+    runner.run_unicast(runner.design("baseline", 16), "uniform")
+
+
+@pytest.mark.parametrize("entry,error", [
+    (lambda: main(["simulate", "--fast", "--kernel", "fast"]), SystemExit),
+    (lambda: main(["sweep", "--fast", "--batch"]), SystemExit),
+    (lambda: repro.simulate("baseline", "uniform", fast=True, kernel="fast"),
+     KeyError),
+    (_run_with_params_kernel, KeyError),
+    (lambda: spec_from_dict({"kernel": "fast"}), CampaignError),
+], ids=["cli-kernel", "cli-sweep-batch", "api", "params", "campaign"])
+def test_removed_names_are_refused(entry, error):
+    # No alias, fallback or shim: the deleted kernel name and executor flag
+    # fail exactly like any other typo, at every entry point.
+    with pytest.raises(error) as exc:
+        entry()
+    if error is SystemExit:
+        assert exc.value.code == 2          # argparse's own refusal
+    else:
+        assert "unknown kernel 'fast'" in str(exc.value)
+        assert "['batch', 'reference']" in str(exc.value)
+
+
 def test_capability_gating_refuses_incapable_kernel():
-    class NoFaultKernel(FastKernel):
+    class NoFaultKernel(BatchKernel):
         name = "nofault"
 
     register("nofault", NoFaultKernel, capabilities={"multicast"})
@@ -265,7 +349,7 @@ def test_capability_gating_refuses_incapable_kernel():
         msg = str(exc.value)
         assert "faults" in msg and "nofault" in msg
         # The error names capable alternatives.
-        assert "fast" in msg
+        assert "'batch'" in msg
         # Without faults the same kernel runs fine.
         result = runner.run_unicast(design, "uniform")
         assert result.stats is not None
@@ -274,7 +358,7 @@ def test_capability_gating_refuses_incapable_kernel():
 
 
 def test_stage_profile_requires_capability():
-    class BareKernel(FastKernel):
+    class BareKernel(BatchKernel):
         name = "bare"
 
     register("bare", BareKernel, capabilities={"faults", "multicast"})
@@ -290,16 +374,16 @@ def test_stage_profile_requires_capability():
 
 
 def test_new_network_kernel_selection():
-    runner = ExperimentRunner(_config("fast"))
+    runner = ExperimentRunner(_config("batch"))
     design = runner.design("static", 16)
-    assert design.new_network().kernel.name == "fast"
+    assert design.new_network().kernel.name == "batch"
     assert design.new_network(kernel="reference").kernel.name == "reference"
 
 
 def test_use_kernel_swaps_and_guards():
-    runner = ExperimentRunner(_config("fast"))
+    runner = ExperimentRunner(_config("batch"))
     net = runner.design("static", 16).new_network()
-    assert isinstance(net.kernel, FastKernel)
+    assert isinstance(net.kernel, BatchKernel)
     net.use_kernel("reference")
     assert isinstance(net.kernel, ReferenceKernel)
     # Same-name swap is a no-op even mid-flight.
@@ -310,7 +394,7 @@ def test_use_kernel_swaps_and_guards():
     # Cross-kernel swap with packets in flight must refuse: in-flight
     # wheel state lives inside the kernel.
     with pytest.raises(RuntimeError, match="in flight"):
-        net.use_kernel("fast")
+        net.use_kernel("batch")
 
 
 # -- digest neutrality -----------------------------------------------------------

@@ -7,7 +7,7 @@ contract has three legs, all verified here:
 
 1. **Bit identity on the mesh** — the mesh provider must reproduce every
    oracle :meth:`NetworkStats.digest` across the full kernel
-   differential matrix (all three kernels x unicast/faults/multicast).
+   differential matrix (both kernels x unicast/faults/multicast).
 2. **Warm cache survives** — mesh job digests are unchanged from the
    oracle, so every pre-refactor result-store entry keeps its address;
    non-mesh providers *must* fork the digest (they simulate a different
@@ -56,7 +56,7 @@ GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "mesh_golden.json").read_text()
 )
 
-KERNEL_NAMES = ("reference", "fast", "batch")
+KERNEL_NAMES = ("reference", "batch")
 
 #: The oracle was captured with exactly these windows (see the golden
 #: file's ``sim`` block); any drift here invalidates the comparison.
@@ -71,7 +71,7 @@ SMALL_SIM = SimulationParams(warmup_cycles=50, measure_cycles=200,
                              drain_cycles=1_500)
 
 
-def _config(kernel: str = "fast", sim: SimulationParams = SIM):
+def _config(kernel: str = "batch", sim: SimulationParams = SIM):
     return dataclasses.replace(
         FAST_CONFIG,
         sim=dataclasses.replace(sim, kernel=kernel),
@@ -393,7 +393,7 @@ class TestDigestSemantics:
 
 @pytest.fixture(scope="module")
 def small_runner():
-    return ExperimentRunner(_config("fast", SMALL_SIM))
+    return ExperimentRunner(_config("batch", SMALL_SIM))
 
 
 @pytest.mark.parametrize("name", ["cmesh", "torus"])
@@ -424,7 +424,7 @@ class TestNonMeshEndToEnd:
 
         specs = sweep_grid(["baseline"], [16], ["uniform"], topology=name)
         store = ResultStore(tmp_path / "cache")
-        config = _config("fast", SMALL_SIM)
+        config = _config("batch", SMALL_SIM)
         report = run_sweep(specs, config=config, store=store)
         assert report.outcomes[0].result.stats.delivered_packets > 0
         assert not report.outcomes[0].cached
@@ -441,7 +441,7 @@ class TestNonMeshEndToEnd:
 def test_runner_results_identical_via_request_or_params(tmp_path):
     # Asking for the torus per-job (extra) and ambiently (params) must
     # simulate the same network, even though the digests differ.
-    config = _config("fast", SMALL_SIM)
+    config = _config("batch", SMALL_SIM)
     by_request = ExperimentRunner(config)
     design_r = by_request.design("baseline", 16, topology="torus")
     stats_r = by_request.run_unicast(design_r, "uniform").stats.digest()
@@ -455,7 +455,7 @@ def test_runner_results_identical_via_request_or_params(tmp_path):
 def test_mesh_design_unaffected_by_other_topology_requests():
     # Building a torus design on a runner must not perturb the default
     # mesh design or its memoization.
-    runner = ExperimentRunner(_config("fast", SMALL_SIM))
+    runner = ExperimentRunner(_config("batch", SMALL_SIM))
     mesh_first = runner.design("static", 16)
     runner.design("static", 16, topology="torus")
     assert runner.design("static", 16) is mesh_first
