@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.exec.engine import ProgressFn, SweepReport, run_sweep
-from repro.exec.jobs import sweep_grid
+from repro.exec.jobs import cell_extra, check_cell, sweep_grid
 from repro.exec.store import ResultStore
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
@@ -61,6 +61,13 @@ def _with_kernel(config: ExperimentConfig, kernel: str) -> ExperimentConfig:
     from dataclasses import replace
 
     return replace(config, sim=replace(config.sim, kernel=kernel))
+
+
+def _control_request(online: Union[bool, str, None]) -> Optional[str]:
+    """``online=`` as a control spec: None offline, ``""`` the defaults."""
+    if online is None or online is False:
+        return None
+    return "" if online is True else online
 
 
 def simulate(
@@ -117,14 +124,20 @@ def simulate(
     (``"phased:uniform+1Hotspot@2000"``).  Online runs are always
     metered and store their decision journal alongside the result; use
     :func:`repro.control.run_closed_loop` to get the journal itself.
+    A name outside the cell vocabulary (design, width, workload, topology,
+    fault or control spec) raises :class:`~repro.exec.jobs.SpecError`
+    before anything is built.
     """
+    control = _control_request(online)
+    check_cell(design, width, workload, online=control is not None)
+    cell_extra(faults=faults, topology=topology, control=control)
     resolved_config = _resolve_config(config, fast)
     if kernel is not None:
         resolved_config = _with_kernel(resolved_config, kernel)
     runner = ExperimentRunner(
         resolved_config, params, store=_resolve_store(store)
     )
-    if online is not None and online is not False:
+    if control is not None:
         if trace_events:
             raise ValueError(
                 "event tracing is not supported for online runs")
@@ -132,8 +145,7 @@ def simulate(
 
         return run_closed_loop(
             runner, workload, style=design, width=width, seed=seed,
-            access_points=access_points,
-            control="" if online is True else online,
+            access_points=access_points, control=control,
             faults=faults, topology=topology,
         ).result
     design_point = runner.design(
@@ -204,16 +216,10 @@ def sweep(
     string); styles are then restricted to ``baseline``/``adaptive`` and
     the control spec joins every cell's digest.
     """
-    if faults is not None and not isinstance(faults, str):
-        faults = faults.canonical()
     specs = sweep_grid(
         styles, widths, workloads,
         adaptive_routing=adaptive_routing, seeds=seeds, faults=faults,
-        topology=topology,
-        control=(
-            None if online in (None, False)
-            else ("" if online is True else online)
-        ),
+        topology=topology, control=_control_request(online),
     )
     resolved_config = _resolve_config(config, fast)
     if kernel is not None:

@@ -25,14 +25,16 @@ neither may fork a campaign's identity.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.exec.jobs import JobSpec, normalize_spec, sweep_grid
+from repro.exec.jobs import (
+    JobSpec, SpecError, cell_extra, check_cell, normalize_spec, stable_digest,
+    sweep_grid,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.export import jsonable
 from repro.params import ArchitectureParams
@@ -97,103 +99,52 @@ class CampaignSpec:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> "CampaignSpec":
-        """Check every axis value; raises :class:`CampaignError`."""
-        from repro.serve.protocol import (
-            DESIGN_STYLES, LINK_WIDTHS, known_workloads,
-        )
+        """Check every axis value; raises :class:`CampaignError`.
 
+        Axis *types* and the campaign-only knobs are checked here; the
+        cell vocabulary (names, spec syntax, what an online slice
+        accepts) is :mod:`repro.exec.jobs`'s, re-raised unchanged.
+        """
         if not self.name or not isinstance(self.name, str):
             raise CampaignError("campaign 'name' must be a non-empty string")
         for axis in ("styles", "widths", "workloads", "faults", "topologies",
                      "objectives", "control"):
             if not getattr(self, axis):
                 raise CampaignError(f"campaign {axis!r} must be non-empty")
-        online = False
         for entry in self.control:
-            if entry is None:
-                continue
-            if not isinstance(entry, str):
+            if entry is not None and not isinstance(entry, str):
                 raise CampaignError(
                     "'control' entries must be spec strings or null")
-            online = True
-            from repro.control.loop import ControlConfig
-
-            try:
-                ControlConfig.from_spec(entry)
-            except ValueError as exc:
+        for entry in self.faults + self.topologies:
+            if not isinstance(entry, str):
                 raise CampaignError(
-                    f"invalid control spec {entry!r}: {exc}") from exc
-        for style in self.styles:
-            if style not in DESIGN_STYLES:
-                raise CampaignError(
-                    f"unknown design style {style!r}; "
-                    f"one of {list(DESIGN_STYLES)}")
-            if online:
-                from repro.control.run import CONTROL_STYLES
-
-                if style not in CONTROL_STYLES:
-                    raise CampaignError(
-                        f"an online control axis accepts styles "
-                        f"{list(CONTROL_STYLES)}, got {style!r}")
-        for width in self.widths:
-            if width not in LINK_WIDTHS:
-                raise CampaignError(
-                    f"unknown link width {width!r}; "
-                    f"one of {list(LINK_WIDTHS)}")
-        names = known_workloads()
-        # A phased composite workload only means something to a closed
-        # loop, so it needs every control slice online.
-        all_online = online and None not in self.control
-        for workload in self.workloads:
-            if workload in names:
-                continue
-            from repro.control.run import PHASED_PREFIX, parse_phased_workload
-
-            if all_online and workload.startswith(PHASED_PREFIX):
-                try:
-                    phases, _ = parse_phased_workload(workload)
-                except ValueError as exc:
-                    raise CampaignError(str(exc)) from exc
-                unknown = [p for p in phases if p not in names]
-                if unknown:
-                    raise CampaignError(
-                        f"unknown workloads {unknown} in {workload!r}")
-                continue
-            if workload.startswith(PHASED_PREFIX):
-                raise CampaignError(
-                    f"phased workload {workload!r} needs an all-online "
-                    "'control' axis")
-            raise CampaignError(f"unknown workload {workload!r}")
+                    "'faults' and 'topologies' entries must be strings")
         for seed in self.seeds:
             if seed is not None and not isinstance(seed, int):
                 raise CampaignError("'seeds' entries must be integers or null")
+        try:
+            # Every control slice is checked against the whole grid: any
+            # online slice restricts the styles, and a phased composite
+            # workload — which only means something to a closed loop —
+            # is refused unless every slice is online.
+            for control in self.control:
+                cell_extra(control=control)
+                for style in self.styles:
+                    for width in self.widths:
+                        for workload in self.workloads:
+                            check_cell(style, width, workload,
+                                       online=control is not None)
+            for faults in self.faults:
+                cell_extra(faults=faults)
+            for topology in self.topologies:
+                cell_extra(topology=topology)
+        except SpecError as exc:
+            raise CampaignError(str(exc)) from exc
         for objective in self.objectives:
             if objective not in OBJECTIVE_FIELDS:
                 raise CampaignError(
                     f"unknown objective {objective!r}; "
                     f"one of {sorted(OBJECTIVE_FIELDS)}")
-        for spec in self.faults:
-            if not isinstance(spec, str):
-                raise CampaignError("'faults' entries must be spec strings")
-            if spec:
-                from repro.faults import as_schedule
-
-                try:
-                    schedule = as_schedule(spec)
-                except (ValueError, TypeError) as exc:
-                    raise CampaignError(
-                        f"invalid fault spec {spec!r}: {exc}") from exc
-                if schedule is None:
-                    raise CampaignError(
-                        f"fault spec {spec!r} names no faults; use \"\" "
-                        "for the fault-free slice")
-        from repro.noc.topology import TOPOLOGIES
-
-        for topology in self.topologies:
-            if topology not in TOPOLOGIES:
-                raise CampaignError(
-                    f"unknown topology {topology!r}; "
-                    f"one of {sorted(TOPOLOGIES)}")
         if self.sample is not None and self.sample <= 0:
             raise CampaignError("'sample' must be a positive cell budget")
         if self.chunk <= 0:
@@ -266,21 +217,7 @@ class CampaignSpec:
         # axis must keep pre-control-plane campaign identities.
         if tuple(spec_blob.get("control", ())) == (None,):
             spec_blob.pop("control", None)
-        blob = {
-            "campaign": spec_blob,
-            "config": jsonable(config),
-            "params": jsonable(params),
-        }
-        blob["config"].get("sim", {}).pop("kernel", None)
-        blob["params"].get("simulation", {}).pop("kernel", None)
-        # Same mesh-default strip as job_digest: default-provider params
-        # must not fork pre-provider-layer campaign identities.
-        mesh_blob = blob["params"].get("mesh", {})
-        if mesh_blob.get("provider", "mesh") == "mesh":
-            mesh_blob.pop("provider", None)
-            mesh_blob.pop("concentration", None)
-        text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return stable_digest(config, params, campaign=spec_blob)
 
 
 #: File keys accepted by :func:`load_spec` (anything else is rejected).

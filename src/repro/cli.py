@@ -30,9 +30,9 @@ text.  ``simulate --trace-events FILE`` writes the run's cycle-level
 events as JSONL; ``sweep --trace-events DIR`` writes one JSONL per
 simulated cell (tracing forces fresh, uncached runs); both take
 ``--faults SPEC`` to inject a fault schedule (see ``docs/faults.md``).
-The pre-1.0 flag spellings (``simulate --trace``, ``sweep --traces``)
-keep working as hidden aliases, but emit a ``DeprecationWarning`` and
-will be removed in v2.0 — use ``--workload``/``--workloads``.
+Which designs, widths, workloads, topologies and fault/control specs a
+cell may name is decided in one place, :mod:`repro.exec.jobs`; this
+module only parses flags and turns its ``SpecError`` into exit code 2.
 
 Exit codes are uniform: 0 success, 2 bad input (unknown experiment,
 malformed grid, invalid request), 1 anything else.  Under ``--json``
@@ -48,7 +48,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from repro.experiments import (
@@ -59,8 +58,12 @@ from repro.experiments import (
     o1_closed_loop_vs_static, o2_reconfiguration_under_faults,
     r1_shortcut_degradation, r2_transient_outage, table2_area,
 )
+from repro.exec.jobs import (
+    CONTROL_STYLES, DESIGN_STYLES, LINK_WIDTHS, SpecError,
+)
+from repro.noc.kernel import list_kernels
+from repro.noc.topology import list_topologies
 from repro.params import DEFAULT_PARAMS
-from repro.serve.protocol import DESIGN_STYLES, known_workloads
 from repro.version import package_version
 
 EXPERIMENTS = {
@@ -224,52 +227,35 @@ def cmd_workloads(args) -> int:
     return 0
 
 
-def _kernel_names() -> list[str]:
-    """Registered kernel names, default first (the ``--kernel`` choices)."""
-    from repro.noc.kernel import list_kernels
+def _names(rows: list[dict]) -> list[str]:
+    """Registry names, default first (``--kernel``/``--topology`` choices)."""
+    return [row["name"] for row in rows]
 
-    return [row["name"] for row in list_kernels()]
+
+def _print_registry(args, rows: list[dict], contract: str) -> int:
+    """Print one registry listing (rows from ``Registry.rows()``)."""
+    if args.json:
+        _print_json(rows)
+        return 0
+    width = max(len(row["name"]) for row in rows)
+    for row in rows:
+        marker = "*" if row["default"] else " "
+        caps = ",".join(row["capabilities"])
+        print(f"{marker} {row['name']:<{width}}  [{caps}]  {row['summary']}")
+    print(f"(* = default; see {contract})")
+    return 0
 
 
 def cmd_kernels(args) -> int:
     """List the registered cycle-execution kernels and their capabilities."""
-    from repro.noc.kernel import list_kernels
-
-    rows = list_kernels()
-    if args.json:
-        _print_json(rows)
-        return 0
-    width = max(len(row["name"]) for row in rows)
-    for row in rows:
-        marker = "*" if row["default"] else " "
-        caps = ",".join(row["capabilities"])
-        print(f"{marker} {row['name']:<{width}}  [{caps}]  {row['summary']}")
-    print("(* = default; see docs/performance.md for the contract)")
-    return 0
-
-
-def _topology_names() -> list[str]:
-    """Registered provider names, default first (the ``--topology`` choices)."""
-    from repro.noc.topology import list_topologies
-
-    return [row["name"] for row in list_topologies()]
+    return _print_registry(args, list_kernels(),
+                           "docs/performance.md for the contract")
 
 
 def cmd_topologies(args) -> int:
     """List the registered topology providers and their capabilities."""
-    from repro.noc.topology import list_topologies
-
-    rows = list_topologies()
-    if args.json:
-        _print_json(rows)
-        return 0
-    width = max(len(row["name"]) for row in rows)
-    for row in rows:
-        marker = "*" if row["default"] else " "
-        caps = ",".join(row["capabilities"])
-        print(f"{marker} {row['name']:<{width}}  [{caps}]  {row['summary']}")
-    print("(* = default; see docs/topologies.md for the provider contract)")
-    return 0
+    return _print_registry(args, list_topologies(),
+                           "docs/topologies.md for the provider contract")
 
 
 def _warn_trace_ignored(args) -> None:
@@ -309,34 +295,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _check_workload(workload: str, online: bool) -> None:
-    """Known workload name, or (online only) a phased composite."""
-    if workload in known_workloads():
-        return
-    from repro.control.run import PHASED_PREFIX, parse_phased_workload
-
-    if online and workload.startswith(PHASED_PREFIX):
-        try:
-            phases, _ = parse_phased_workload(workload)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
-        unknown = [p for p in phases if p not in known_workloads()]
-        if unknown:
-            raise CLIError(f"unknown workloads {unknown} in {workload!r}; "
-                           "see 'workloads'")
-        return
-    if workload.startswith(PHASED_PREFIX):
-        raise CLIError(f"phased workload {workload!r} needs --online "
-                       "(a closed-loop run)")
-    raise CLIError(f"unknown workload {workload!r}; see 'workloads'")
-
-
 def cmd_simulate(args) -> int:
     """Simulate one (design, workload) cell and print its metrics."""
     from repro.api import simulate
 
     online = getattr(args, "online", None)
-    _check_workload(args.workload, online is not None)
     result = simulate(
         args.design, args.workload, width=args.width, fast=args.fast,
         kernel=getattr(args, "kernel", None),
@@ -402,20 +365,11 @@ def cmd_sweep(args) -> int:
     styles = _split_list(args.styles, "styles")
     widths = [_parse_width(w) for w in _split_list(args.widths, "widths")]
     workloads = _split_list(args.workloads, "workloads")
-    for style in styles:
-        if style not in DESIGN_STYLES:
-            raise CLIError(f"unknown design style {style!r}; "
-                           f"one of {','.join(DESIGN_STYLES)}")
-    for workload in workloads:
-        _check_workload(workload, online is not None)
-    try:
-        specs = sweep_grid(styles, widths, workloads,
-                           adaptive_routing=args.adaptive_routing,
-                           faults=args.faults or None,
-                           topology=getattr(args, "topology", None),
-                           control=online)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    specs = sweep_grid(styles, widths, workloads,
+                       adaptive_routing=args.adaptive_routing,
+                       faults=args.faults or None,
+                       topology=getattr(args, "topology", None),
+                       control=online)
     trace_dir = Path(args.trace_events) if args.trace_events else None
     # Tracing forces fresh runs, so the persistent cache is bypassed.
     store = (None if args.no_cache or trace_dir
@@ -485,18 +439,14 @@ def cmd_control(args) -> int:
     from repro.exec import ResultStore
     from repro.experiments.export import jsonable
 
-    _check_workload(args.workload, True)
     store = None if args.no_cache else ResultStore(args.cache)
     runner = ExperimentRunner(_config_for(args), store=store)
-    try:
-        run = run_closed_loop(
-            runner, args.workload, style=args.design, width=args.width,
-            seed=args.seed, access_points=args.access_points,
-            control=args.control or "", faults=args.faults or None,
-            topology=getattr(args, "topology", None),
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    run = run_closed_loop(
+        runner, args.workload, style=args.design, width=args.width,
+        seed=args.seed, access_points=args.access_points,
+        control=args.control or "", faults=args.faults or None,
+        topology=getattr(args, "topology", None),
+    )
     result = run.result
     summary = run.summary()
     payload = {
@@ -892,19 +842,14 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-class _DeprecatedAlias(argparse.Action):
-    """A hidden pre-1.0 flag spelling: still works, but warns on use.
-
-    ``const`` names the current spelling; the alias is slated for removal
-    in v2.0 (see the parser epilog).
-    """
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        warnings.warn(
-            f"{option_string} is deprecated and will be removed in "
-            f"v2.0; use {self.const} instead",
-            DeprecationWarning, stacklevel=2)
-        setattr(namespace, self.dest, values)
+def _add_cell_flags(parser, *, design: str = "baseline",
+                    styles=DESIGN_STYLES, design_help: str | None = None,
+                    workload_help: str | None = None) -> None:
+    """The one-cell flags shared by ``simulate``/``control``/``request``."""
+    parser.add_argument("--design", default=design, choices=styles,
+                        help=design_help)
+    parser.add_argument("--width", type=int, default=16, choices=LINK_WIDTHS)
+    parser.add_argument("--workload", default="uniform", help=workload_help)
 
 
 def _add_common(parser, *, jobs: bool = False, trace: bool = False,
@@ -917,13 +862,13 @@ def _add_common(parser, *, jobs: bool = False, trace: bool = False,
                         help="short simulation windows")
     if kernel:
         parser.add_argument(
-            "--kernel", choices=_kernel_names(), default=None,
+            "--kernel", choices=_names(list_kernels()), default=None,
             help="cycle-execution kernel (bit-identical results; see "
                  "'repro kernels list' for the registry and capability "
                  "flags)")
     if topology:
         parser.add_argument(
-            "--topology", choices=_topology_names(), default=None,
+            "--topology", choices=_names(list_topologies()), default=None,
             help="substrate topology provider (see 'repro topologies "
                  "list'; non-mesh providers simulate a different network "
                  "and fork the result cache)")
@@ -947,16 +892,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="RF-I overlaid CMP NoC reproduction (HPCA 2008)",
-        epilog="Deprecated: the pre-1.0 spellings 'simulate --trace' and "
-               "'sweep --traces' still work but emit a DeprecationWarning; "
-               "they will be removed in v2.0 — use --workload/--workloads.",
     )
     parser.add_argument("--version", action="version",
                         version=f"repro {package_version()}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help)
+        # No prefix matching: ``--trace x`` must be an error, not a
+        # silent abbreviation of ``--trace-events x``.
+        cmd = sub.add_parser(name, help=help, allow_abbrev=False)
         cmd.add_argument("--json", action="store_true",
                          help="machine-readable output on stdout")
         return cmd
@@ -983,14 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(fn=cmd_run)
 
     simulate = add("simulate", "one (design, workload) cell")
-    simulate.add_argument("--design", default="baseline",
-                          choices=DESIGN_STYLES)
-    simulate.add_argument("--width", type=int, default=16, choices=[16, 8, 4])
-    simulate.add_argument("--workload", default="uniform")
-    # Pre-1.0 spelling, kept as a hidden alias until v2.0.
-    simulate.add_argument("--trace", dest="workload", const="--workload",
-                          action=_DeprecatedAlias,
-                          default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    _add_cell_flags(simulate)
     _add_common(simulate, jobs=True, trace=True, faults=True, kernel=True,
                 topology=True,
                 trace_help="write this run's cycle-level events as JSONL "
@@ -1012,10 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated mesh link widths (bytes)")
     sweep.add_argument("--workloads", default="uniform",
                        help="comma-separated workload names")
-    # Pre-1.0 spelling, kept as a hidden alias until v2.0.
-    sweep.add_argument("--traces", dest="workloads", const="--workloads",
-                       action=_DeprecatedAlias,
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sweep.add_argument("--adaptive-routing", action="store_true")
     sweep.add_argument("--cache", default="benchmarks/results/cache",
                        help="persistent result-store directory")
@@ -1033,15 +966,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(fn=cmd_sweep)
 
     control = add("control", "closed-loop online reconfiguration run")
-    control.add_argument("--design", default="adaptive",
-                         choices=["baseline", "adaptive"],
-                         help="'adaptive' warm-starts from the first "
-                              "phase's offline profile; 'baseline' cold-"
-                              "starts with no shortcuts")
-    control.add_argument("--width", type=int, default=16, choices=[16, 8, 4])
-    control.add_argument("--workload", default="uniform",
-                         help="a workload name or a phased composite, "
-                              "e.g. 'phased:hotBiDF+2Hotspot+uniDF@4000'")
+    _add_cell_flags(
+        control, design="adaptive", styles=CONTROL_STYLES,
+        design_help="'adaptive' warm-starts from the first phase's offline "
+                    "profile; 'baseline' cold-starts with no shortcuts",
+        workload_help="a workload name or a phased composite, e.g. "
+                      "'phased:hotBiDF+2Hotspot+uniDF@4000'")
     control.add_argument("--control", metavar="SPEC", default=None,
                          help="control-loop knobs, e.g. 'epoch=600,"
                               "hysteresis=0.03,decay=0.25,min=50'")
@@ -1131,11 +1061,11 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--jobs", type=int, default=1,
                           help="worker processes (1 = in-process serial)")
     campaign.add_argument(
-        "--kernel", choices=_kernel_names(), default=None,
+        "--kernel", choices=_names(list_kernels()), default=None,
         help="cycle-execution kernel for fresh cells (bit-identical "
              "results; never changes cell or campaign digests)")
     campaign.add_argument(
-        "--topology", choices=_topology_names(), default=None,
+        "--topology", choices=_names(list_topologies()), default=None,
         help="restrict the spec's topology axis to one provider "
              "(non-mesh choices fork the campaign digest and manifest)")
     campaign.set_defaults(fn=cmd_campaign)
@@ -1152,14 +1082,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="client socket timeout, seconds")
     request.add_argument("--timeout-s", type=float, default=None,
                         help="server-side per-request deadline, seconds")
-    request.add_argument("--design", default="baseline",
-                        choices=list(DESIGN_STYLES))
-    request.add_argument("--width", type=int, default=16,
-                        choices=[16, 8, 4])
-    request.add_argument("--workload", default="uniform")
+    _add_cell_flags(request)
     request.add_argument("--seed", type=int, default=None)
     request.add_argument("--faults", metavar="SPEC", default=None)
-    request.add_argument("--topology", choices=_topology_names(),
+    request.add_argument("--topology", choices=_names(list_topologies()),
                          default=None,
                          help="substrate topology provider for the "
                               "requested cell(s)")
@@ -1183,7 +1109,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CLIError as exc:
+    except (CLIError, SpecError) as exc:
         if getattr(args, "json", False):
             print(json.dumps({"error": str(exc),
                               "version": package_version()}),

@@ -43,7 +43,7 @@ from typing import AsyncIterator, Callable, Iterable, Optional, Union
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
-from repro.serve.http import ServeServer, ServerThread, _encode_response
+from repro.serve.http import ServeServer, ServerThread, read_head
 from repro.serve.protocol import (
     RequestError, canonical_digest, envelope, error_envelope, parse_simulate,
     parse_sweep, spec_fields,
@@ -164,17 +164,8 @@ class Shard:
                 f"Connection: keep-alive\r\n\r\n")
         writer.write(head.encode("ascii") + payload)
         await writer.drain()
-        status_line = await reader.readline()
-        if not status_line:
-            raise ConnectionResetError("shard closed the connection")
+        status_line, headers = await read_head(reader, "response")
         status = int(status_line.decode("latin-1").split(None, 2)[1])
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
         length = int(headers.get("content-length", "0"))
         raw = await reader.readexactly(length) if length > 0 else b""
         return status, headers, raw
@@ -364,21 +355,6 @@ class ClusterRouter:
                              cells=len(specs),
                              spread=self.ring.spread(digests)), {}
 
-    async def _job_event(self, job: SweepJob, event: dict) -> None:
-        async with job.cond:
-            job.events.append(event)
-            job.cond.notify_all()
-
-    async def _finish_job(self, job: SweepJob, status: str,
-                          summary: dict) -> None:
-        async with job.cond:
-            job.status = status
-            job.summary = summary
-            job.events.append(
-                {"event": "complete", "status": status, "summary": summary}
-            )
-            job.cond.notify_all()
-
     async def _run_one_cell(self, job: SweepJob, index: int, digest: str,
                             fields: dict, sem: asyncio.Semaphore,
                             tally: dict, shard_tally: dict) -> None:
@@ -389,7 +365,7 @@ class ClusterRouter:
                     # The owner is shedding (or momentarily unroutable):
                     # batch cells wait and re-offer, they never drop.
                     hint = out.get("retry_after_s", UNROUTABLE_RETRY_S)
-                    await self._job_event(job, {
+                    await job.emit({
                         "event": "backoff", "index": index,
                         "retry_after_s": hint,
                     })
@@ -405,7 +381,7 @@ class ClusterRouter:
             tally[source] = tally.get(source, 0) + 1
             shard = out.get("shard", "?")
             shard_tally[shard] = shard_tally.get(shard, 0) + 1
-            await self._job_event(job, {
+            await job.emit({
                 "event": "hit" if source == "store" else "done",
                 "index": index,
                 "source": source,
@@ -429,12 +405,12 @@ class ClusterRouter:
                 for i, spec in enumerate(job.specs)
             ))
         except asyncio.CancelledError:
-            await self._finish_job(job, "failed", {"error": "cancelled"})
+            await job.finish("failed", {"error": "cancelled"})
             raise
         except Exception as exc:
-            await self._finish_job(job, "failed", {"error": str(exc)})
+            await job.finish("failed", {"error": str(exc)})
             return
-        await self._finish_job(job, "done", {
+        await job.finish("done", {
             "cells": len(job.specs),
             "wall_s": time.perf_counter() - start,
             "sources": dict(sorted(tally.items())),
@@ -446,24 +422,7 @@ class ClusterRouter:
     ) -> Optional[AsyncIterator[dict]]:
         """Async iterator over a router job's events (None if unknown)."""
         job = self.jobs.get(job_id)
-        if job is None:
-            return None
-
-        async def _events() -> AsyncIterator[dict]:
-            index = 0
-            while True:
-                async with job.cond:
-                    while index >= len(job.events) and job.status == "running":
-                        await job.cond.wait()
-                    fresh = job.events[index:]
-                    index = len(job.events)
-                    finished = job.status != "running"
-                for event in fresh:
-                    yield event
-                if finished and index >= len(job.events):
-                    return
-
-        return _events()
+        return job.stream() if job is not None else None
 
     # -- aggregation --------------------------------------------------------
 
@@ -586,43 +545,16 @@ class RouterServer(ServeServer):
     def __init__(self, router: ClusterRouter, host: str = "127.0.0.1",
                  port: int = 8031):
         super().__init__(router, host, port)  # type: ignore[arg-type]
-        self.router = router
 
-    async def _dispatch(self, method: str, path: str, body: bytes,
-                        writer: asyncio.StreamWriter,
-                        keep_alive: bool = False) -> bool:
-        def respond(status: int, payload: dict,
-                    extra: Optional[dict] = None) -> None:
-            writer.write(_encode_response(status, payload, extra,
-                                          keep_alive=keep_alive))
-
-        if path.startswith("/v1/jobs/") and method == "GET":
-            await self._stream_job(path[len("/v1/jobs/"):], writer)
-            return True
-        if method == "POST" and path in ("/v1/simulate", "/v1/sweep"):
-            try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                respond(400, error_envelope("request body is not valid JSON"))
-                await writer.drain()
-                return False
-            handler = (self.router.simulate if path == "/v1/simulate"
-                       else self.router.sweep)
-            status, envelope_, extra = await handler(payload)
-            respond(status, envelope_, extra)
-        elif method == "GET" and path == "/healthz":
-            respond(200, await self.router.health())
-        elif method == "GET" and path == "/metrics":
-            respond(200, await self.router.metrics())
-        elif method == "GET" and path == "/cluster":
-            respond(200, await self.router.cluster_status())
-        elif path in ("/v1/simulate", "/v1/sweep", "/healthz", "/metrics",
-                      "/cluster"):
-            respond(405, error_envelope(f"{method} not allowed on {path}"))
-        else:
-            respond(404, error_envelope(f"no route for {method} {path}"))
-        await writer.drain()
-        return False
+    def _routes(self) -> dict:
+        router = self.service
+        return {
+            ("POST", "/v1/simulate"): (router.simulate, True),
+            ("POST", "/v1/sweep"): (router.sweep, True),
+            ("GET", "/healthz"): (router.health, False),
+            ("GET", "/metrics"): (router.metrics, False),
+            ("GET", "/cluster"): (router.cluster_status, False),
+        }
 
 
 class RouterThread(ServerThread):

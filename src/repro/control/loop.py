@@ -26,16 +26,23 @@ simulation runs under an :class:`~repro.obs.observe.Observation`.
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from repro.control.compiler import BandConfiguration, compile_configuration
 from repro.control.decide import Decision, ShortcutDecider
 from repro.control.journal import DecisionJournal, DecisionRecord
 from repro.control.profile import TrafficProfile
-from repro.core.online import Phase
 from repro.core.reconfig import ReconfigurationController
 from repro.noc.network import Network
 from repro.noc.routing import Shortcut
+
+
+class Phase(enum.Enum):
+    """Reconfiguration state machine phases."""
+    MEASURE = "measure"
+    DRAIN = "drain"
+    PAUSE = "pause"
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,6 @@ PHASED_PREFIX = "phased:"
 #: Cycles per phase when the spec omits ``@N``.
 DEFAULT_PHASE_CYCLES = 2_000
 
-#: Styles an online cell accepts (cold start / profile warm start).
-CONTROL_STYLES = ("baseline", "adaptive")
-
 
 def parse_phased_workload(workload: str) -> tuple[tuple[str, ...], int]:
     """Split a workload name into (phases, phase_cycles).
@@ -75,11 +72,6 @@ def phased_workload_name(phases, phase_cycles: int) -> str:
     return f"{PHASED_PREFIX}{'+'.join(phases)}@{phase_cycles}"
 
 
-def workload_phases(workload: str) -> tuple[str, ...]:
-    """The base workload names a (possibly phased) workload touches."""
-    return parse_phased_workload(workload)[0]
-
-
 # -- cell construction -------------------------------------------------------
 
 def build_control_cell(
@@ -93,15 +85,13 @@ def build_control_cell(
     Returned pieces share state: the loop is the simulator's only traffic
     source and retunes the network's overlay live.
     """
+    from repro.exec.jobs import check_cell
+
+    # Hand-built specs reach here without passing a surface's validation.
+    check_cell(spec.style, spec.link_bytes, spec.workload, online=True)
     extra = dict(spec.extra)
-    if spec.style not in CONTROL_STYLES:
-        raise ValueError(
-            f"online cells accept styles {list(CONTROL_STYLES)}, "
-            f"got {spec.style!r}")
     topo = runner.topology_for(extra.get("topology"))
     phases, phase_cycles = parse_phased_workload(spec.workload)
-    for name in phases:
-        runner.pattern(name, topo)   # validates every phase name
     aps = spec.num_access_points or runner.config.num_access_points
     seed = runner.config.traffic_seed if spec.seed is None else spec.seed
     base = baseline(spec.link_bytes, runner.params, topo)
@@ -277,26 +267,23 @@ def control_spec(
     faults=None,
     topology: Optional[str] = None,
 ):
-    """The JobSpec addressing one online cell (extra carries the knobs)."""
-    from repro.exec import JobSpec
+    """The JobSpec addressing one online cell (extra carries the knobs).
 
-    config = (control if isinstance(control, ControlConfig)
-              else ControlConfig.from_spec(control))
-    extra: dict[str, str] = {"control": config.canonical()}
-    if faults is not None:
-        from repro.faults import as_schedule
+    Validated and canonicalised by the shared cell vocabulary
+    (:func:`~repro.exec.jobs.check_cell` / :func:`~repro.exec.jobs.cell_extra`),
+    so the address equals the one every other surface computes for the
+    same cell; raises :class:`~repro.exec.jobs.SpecError`.
+    """
+    from repro.exec.jobs import JobSpec, cell_extra, check_cell
 
-        schedule = as_schedule(faults)
-        if schedule is not None:
-            extra["faults"] = schedule.canonical()
-    if topology is not None:
-        from repro.noc.topology import resolve_topology
-
-        extra["topology"] = resolve_topology(topology, None)
+    if isinstance(control, ControlConfig):
+        control = control.canonical()
+    check_cell(style, width, workload, online=True)
     return JobSpec(
         kind="unicast", style=style, link_bytes=width, workload=workload,
         seed=seed, num_access_points=access_points,
-        extra=tuple(sorted(extra.items())),
+        extra=cell_extra(faults=faults, topology=topology,
+                         control=control or ""),
     )
 
 

@@ -10,9 +10,7 @@ from repro.core.architectures import (
     DesignPoint, adaptive_rf, adaptive_rf_multicast, baseline, static_rf,
     wire_static,
 )
-from repro.core.online import (
-    OnlineReconfigurator, PhasedSource, ReconfigurationEvent,
-)
+from repro.core.online import PhasedSource
 from repro.core.overlay import OverlayReport, RFIOverlay
 from repro.core.reconfig import (
     TUNING_CYCLES, ReconfigurationController, ReconfigurationPlan,
@@ -20,9 +18,7 @@ from repro.core.reconfig import (
 
 __all__ = [
     "DesignPoint",
-    "OnlineReconfigurator",
     "PhasedSource",
-    "ReconfigurationEvent",
     "OverlayReport",
     "RFIOverlay",
     "ReconfigurationController",

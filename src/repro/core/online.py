@@ -1,151 +1,18 @@
-"""Online (runtime) reconfiguration — the paper's stated extension.
+"""Phase-changing workloads — the stressor for runtime reconfiguration.
 
 Section 3.2 notes shortcut selection "can be done ahead of time by the
 application writer or compiler, or **at run time by the operating system, a
 hypervisor, or in the hardware itself**", but the paper only evaluates
-once-per-application reconfiguration from an offline profile.  This module
-implements the runtime variant:
-
-* the inter-router communication-frequency matrix F(x, y) is accumulated
-  from live injections (the "event counters in our network");
-* every ``interval_cycles`` the controller re-runs application-specific
-  selection on the (exponentially decayed) window, retunes the mixers, and
-  swaps the routing tables;
-* the reconfiguration cost is charged faithfully: injection stops, the
-  network drains (in-flight wormholes may span links about to retune), and
-  execution pauses for the tuning + 99-cycle table-update overhead before
-  traffic resumes.
-
-The result is a NoC that tracks *phase changes* within a workload — see
-``examples/online_reconfiguration.py``.
+once-per-application reconfiguration from an offline profile.  The runtime
+variant lives in :mod:`repro.control` (:class:`~repro.control.loop.ControlLoop`
+is the one implementation); this module keeps the workload that makes it
+matter: a source whose communication pattern changes at phase boundaries,
+which no single static per-application profile can fit.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.core.reconfig import ReconfigurationController
 from repro.noc.network import Network
-
-
-class Phase(enum.Enum):
-    """Reconfiguration state machine phases."""
-    MEASURE = "measure"
-    DRAIN = "drain"
-    PAUSE = "pause"
-
-
-@dataclass
-class ReconfigurationEvent:
-    """One completed runtime reconfiguration (for inspection/telemetry)."""
-
-    cycle: int
-    drain_cycles: int
-    overhead_cycles: int
-    shortcuts: tuple
-
-
-class OnlineReconfigurator:
-    """Traffic-source wrapper that adapts the overlay while running.
-
-    Wrap any source exposing ``sample_messages(cycle)``; use the wrapper as
-    the simulator's traffic source.  Statistics caveat: cycles spent
-    draining/paused are real execution cycles, so latency measured across a
-    reconfiguration includes its cost — that is the point.
-    """
-
-    def __init__(
-        self,
-        source,
-        controller: ReconfigurationController,
-        interval_cycles: int = 4_000,
-        decay: float = 0.5,
-        min_window_messages: int = 200,
-        drain_deadline_cycles: int | None = None,
-    ):
-        if not (0.0 <= decay <= 1.0):
-            raise ValueError("decay must be in [0, 1]")
-        if drain_deadline_cycles is not None and drain_deadline_cycles <= 0:
-            raise ValueError("drain_deadline_cycles must be positive")
-        self.source = source
-        self.controller = controller
-        self.interval_cycles = interval_cycles
-        self.decay = decay
-        self.min_window_messages = min_window_messages
-        self.drain_deadline_cycles = drain_deadline_cycles
-        self.drain_timeouts = 0
-        n = controller.topology.num_routers
-        self.window = np.zeros((n, n))
-        self.phase = Phase.MEASURE
-        self.next_reconfig_at = interval_cycles
-        self.resume_at = 0
-        self._drain_started = 0
-        self.events: list[ReconfigurationEvent] = []
-
-    # -- per-cycle driver ---------------------------------------------------
-
-    def tick(self, network: Network) -> None:
-        """Per-cycle driver: measure, drain, reconfigure, or resume."""
-        cycle = network.cycle
-        if self.phase is Phase.MEASURE:
-            for msg in self.source.sample_messages(cycle):
-                if not msg.is_multicast:
-                    self.window[msg.src, msg.dst] += 1
-                network.inject(msg)
-            if cycle >= self.next_reconfig_at:
-                if self.window.sum() < self.min_window_messages:
-                    # Not enough evidence to adapt; postpone a full interval.
-                    self.next_reconfig_at = cycle + self.interval_cycles
-                    return
-                self.phase = Phase.DRAIN
-                self._drain_started = cycle
-        elif self.phase is Phase.DRAIN:
-            if network.in_flight == 0:
-                self._reconfigure(network, cycle)
-            elif (self.drain_deadline_cycles is not None
-                    and cycle - self._drain_started
-                    >= self.drain_deadline_cycles):
-                # A saturated network may never quiesce; retuning is only
-                # legal on a drained network, so the epoch is skipped and
-                # traffic resumes rather than spinning in DRAIN forever.
-                self.drain_timeouts += 1
-                self.phase = Phase.MEASURE
-                self.next_reconfig_at = cycle + self.interval_cycles
-        elif self.phase is Phase.PAUSE:
-            if cycle >= self.resume_at:
-                self.phase = Phase.MEASURE
-                self.next_reconfig_at = cycle + self.interval_cycles
-                self.window *= self.decay
-
-    def _reconfigure(self, network: Network, cycle: int) -> None:
-        plan = self.controller.reconfigure(self.window)
-        network.apply_shortcuts(plan.tables)
-        if network.fault_state is not None:
-            network.fault_state.rebind(plan.tables)
-        self.resume_at = cycle + plan.total_overhead_cycles
-        self.phase = Phase.PAUSE
-        self.events.append(
-            ReconfigurationEvent(
-                cycle=cycle,
-                drain_cycles=cycle - self._drain_started,
-                overhead_cycles=plan.total_overhead_cycles,
-                shortcuts=tuple((s.src, s.dst) for s in plan.shortcuts),
-            )
-        )
-
-    # -- inspection ----------------------------------------------------------
-
-    @property
-    def reconfigurations(self) -> int:
-        """Number of completed runtime reconfigurations."""
-        return len(self.events)
-
-    def total_overhead_cycles(self) -> int:
-        """Cycles spent draining and paused across all reconfigurations."""
-        return sum(e.drain_cycles + e.overhead_cycles for e in self.events)
 
 
 class PhasedSource:

@@ -181,9 +181,9 @@ class FaultState:
     def rebind(self, tables: RoutingTables) -> None:
         """Point the band-fault mapping at retuned shortcuts.
 
-        Runtime reconfiguration (:class:`~repro.core.online.OnlineReconfigurator`,
-        :class:`~repro.control.loop.ControlLoop`) swaps the routing tables
-        mid-run; a band fault kills whichever shortcut occupies the band
+        Runtime reconfiguration (:class:`~repro.control.loop.ControlLoop`)
+        swaps the routing tables mid-run; a band fault kills whichever
+        shortcut occupies the band
         *now*, so the dead sets are rebuilt against the new plan.
         """
         self.tables = tables

@@ -65,8 +65,9 @@ table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
+
+from repro.registry import Registry, RegistrySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
@@ -79,86 +80,28 @@ DEFAULT_KERNEL = "batch"
 CAPABILITIES = frozenset({"faults", "multicast", "stage_profile"})
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """One registry entry: the factory plus its declared capabilities."""
-
-    name: str
-    factory: Callable[["Network"], "SimKernel"]
-    capabilities: frozenset[str]
-
-    def describe(self) -> dict:
-        """JSON-safe registry row (``repro kernels list``)."""
-        doc = (getattr(self.factory, "__doc__", None) or "").strip()
-        return {
-            "name": self.name,
-            "factory": getattr(self.factory, "__qualname__",
-                               repr(self.factory)),
-            "capabilities": sorted(self.capabilities),
-            "default": self.name == DEFAULT_KERNEL,
-            "summary": doc.splitlines()[0] if doc else "",
-        }
-
-
-#: name -> KernelSpec; populated by :func:`register`.
-KERNELS: dict[str, KernelSpec] = {}
-
-
 class KernelCapabilityError(RuntimeError):
     """A selected kernel cannot execute the features this run needs."""
 
 
-def register(
-    name: str,
-    factory: Callable[["Network"], "SimKernel"],
-    *,
-    capabilities: Iterable[str] = (),
-) -> KernelSpec:
-    """Add a kernel to the registry.
+#: One registry entry: ``factory(network) -> SimKernel`` plus its flags.
+KernelSpec = RegistrySpec
 
-    ``factory`` is called with the network to bind (normally a
-    :class:`SimKernel` subclass).  ``capabilities`` must come from
-    :data:`CAPABILITIES`; a kernel that omits a flag is *refused* — with
-    :class:`KernelCapabilityError`, before any cycle runs — whenever a
-    run needs that feature.  Names are claimed once: replacing a kernel
-    requires an explicit :func:`unregister` first, so a name collision is
-    a loud error instead of a silent behavior change.  Returns the stored
-    :class:`KernelSpec`.
-    """
-    caps = frozenset(capabilities)
-    unknown = caps - CAPABILITIES
-    if unknown:
-        raise ValueError(
-            f"unknown kernel capabilities {sorted(unknown)}; "
-            f"choose from {sorted(CAPABILITIES)}"
-        )
-    if not name or not isinstance(name, str):
-        raise ValueError("kernel name must be a non-empty string")
-    if name in KERNELS:
-        raise ValueError(
-            f"kernel {name!r} is already registered; unregister() it first"
-        )
-    spec = KernelSpec(name=name, factory=factory, capabilities=caps)
-    KERNELS[name] = spec
-    return spec
+#: name -> KernelSpec.  ``factory`` is called with the network to bind
+#: (normally a :class:`SimKernel` subclass); a kernel that omits a flag is
+#: *refused* — :class:`KernelCapabilityError`, before any cycle runs —
+#: whenever a run needs that feature (see :class:`~repro.registry.Registry`).
+KERNELS = Registry("kernel", "kernels", DEFAULT_KERNEL, CAPABILITIES,
+                   KernelCapabilityError)
 
-
-def unregister(name: str) -> None:
-    """Remove a kernel from the registry (primarily for tests)."""
-    KERNELS.pop(name, None)
-
-
-def get_spec(name: str) -> KernelSpec:
-    """The :class:`KernelSpec` registered under ``name``.
-
-    Raises ``KeyError`` with the known names so a CLI typo is diagnosable.
-    """
-    try:
-        return KERNELS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown kernel {name!r}; known kernels: {sorted(KERNELS)}"
-        ) from None
+register = KERNELS.register
+unregister = KERNELS.unregister
+get_spec = KERNELS.get_spec
+list_kernels = KERNELS.rows
+require_capabilities = KERNELS.require
+#: ``resolve_kernel(requested, network_kernel)`` -> a validated kernel
+#: *name* under the "One resolver" precedence above.
+resolve_kernel = KERNELS.resolve
 
 
 def get_kernel(name: str):
@@ -169,35 +112,6 @@ def get_kernel(name: str):
 def kernel_capabilities(name: str) -> frozenset[str]:
     """The declared capability flags of the kernel named ``name``."""
     return get_spec(name).capabilities
-
-
-def list_kernels() -> list[dict]:
-    """JSON-safe registry listing, default kernel first then by name."""
-    rows = [spec.describe() for spec in KERNELS.values()]
-    rows.sort(key=lambda row: (not row["default"], row["name"]))
-    return rows
-
-
-def resolve_kernel(
-    requested: Optional[str] = None,
-    network_kernel: Optional[str] = None,
-) -> str:
-    """Apply the documented selection precedence; returns a kernel *name*.
-
-    ``requested`` is the run-level request (``SimulationParams.kernel``,
-    which every explicit ``kernel=`` argument and CLI ``--kernel`` flag
-    writes); ``network_kernel`` is the name of the kernel the network was
-    constructed with.  Precedence: requested > network's > the registry
-    default.  The winner is validated against the registry, so a typo
-    fails here — with the known names — rather than deep in a run.
-    """
-    name = (
-        requested if requested is not None
-        else network_kernel if network_kernel is not None
-        else DEFAULT_KERNEL
-    )
-    get_spec(name)  # fail fast on unknown names
-    return name
 
 
 def required_capabilities(
@@ -212,30 +126,6 @@ def required_capabilities(
     if stage_profile is not None:
         needs.add("stage_profile")
     return needs
-
-
-def require_capabilities(
-    name: str, needed: Iterable[str], context: str = "this run",
-) -> KernelSpec:
-    """Refuse, loudly, unless kernel ``name`` declares every needed flag.
-
-    Raises :class:`KernelCapabilityError` naming the kernel, the missing
-    flags, and capable alternatives — the fail-fast contract that
-    replaces silent divergence for feature-limited kernels.
-    """
-    spec = get_spec(name)
-    missing = set(needed) - spec.capabilities
-    if missing:
-        capable = sorted(
-            other.name for other in KERNELS.values()
-            if not (set(needed) - other.capabilities)
-        )
-        raise KernelCapabilityError(
-            f"kernel {name!r} does not support {sorted(missing)} "
-            f"(declared capabilities: {sorted(spec.capabilities)}), "
-            f"which {context} requires; capable kernels: {capable}"
-        )
-    return spec
 
 
 class SimKernel:

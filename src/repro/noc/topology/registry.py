@@ -1,4 +1,5 @@
-"""The topology registry and resolver, mirroring the kernel registry.
+"""The topology registry and resolver — the second instance of
+:class:`repro.registry.Registry` (the kernel registry is the first).
 
 Providers join the registry exactly the way kernels do::
 
@@ -38,8 +39,9 @@ the params' ``provider`` field, which beats :data:`DEFAULT_TOPOLOGY`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
+
+from repro.registry import Registry, RegistrySpec
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.topology.base import TopologyProvider
@@ -52,122 +54,35 @@ DEFAULT_TOPOLOGY = "mesh"
 TOPOLOGY_CAPABILITIES = frozenset({"overlay", "faults", "multicast"})
 
 
-@dataclass(frozen=True)
-class TopologySpec:
-    """One registry entry: the provider factory plus its capabilities."""
-
-    name: str
-    factory: Callable[["TopologyParams"], "TopologyProvider"]
-    capabilities: frozenset[str]
-
-    def describe(self) -> dict:
-        """JSON-safe registry row (``repro topologies list``)."""
-        doc = (getattr(self.factory, "__doc__", None) or "").strip()
-        return {
-            "name": self.name,
-            "factory": getattr(self.factory, "__qualname__",
-                               repr(self.factory)),
-            "capabilities": sorted(self.capabilities),
-            "default": self.name == DEFAULT_TOPOLOGY,
-            "summary": doc.splitlines()[0] if doc else "",
-        }
-
-
-#: name -> TopologySpec; populated by :func:`register`.
-TOPOLOGIES: dict[str, TopologySpec] = {}
-
-
 class TopologyCapabilityError(RuntimeError):
     """A selected topology provider cannot support the features this run needs."""
 
 
-def register(
-    name: str,
-    factory: Callable[["TopologyParams"], "TopologyProvider"],
-    *,
-    capabilities: Iterable[str] = (),
-) -> TopologySpec:
-    """Add a topology provider to the registry.
+#: One registry entry: ``factory(TopologyParams) -> TopologyProvider``
+#: plus its flags.
+TopologySpec = RegistrySpec
 
-    ``factory`` is called with the :class:`~repro.params.TopologyParams`
-    to realize (normally a :class:`TopologyProvider` subclass).
-    ``capabilities`` must come from :data:`TOPOLOGY_CAPABILITIES`; a
-    provider that omits a flag is *refused* — with
-    :class:`TopologyCapabilityError`, before any cycle runs — whenever a
-    run needs that feature.  Names are claimed once: replacing a provider
-    requires an explicit :func:`unregister` first, so a name collision is
-    a loud error instead of a silent behavior change.  Returns the stored
-    :class:`TopologySpec`.
-    """
-    caps = frozenset(capabilities)
-    unknown = caps - TOPOLOGY_CAPABILITIES
-    if unknown:
-        raise ValueError(
-            f"unknown topology capabilities {sorted(unknown)}; "
-            f"choose from {sorted(TOPOLOGY_CAPABILITIES)}"
-        )
-    if not name or not isinstance(name, str):
-        raise ValueError("topology name must be a non-empty string")
-    if name in TOPOLOGIES:
-        raise ValueError(
-            f"topology {name!r} is already registered; unregister() it first"
-        )
-    spec = TopologySpec(name=name, factory=factory, capabilities=caps)
-    TOPOLOGIES[name] = spec
-    return spec
+#: name -> TopologySpec.  ``factory`` is called with the
+#: :class:`~repro.params.TopologyParams` to realize (normally a
+#: :class:`TopologyProvider` subclass); a provider that omits a flag is
+#: *refused* — :class:`TopologyCapabilityError`, before any cycle runs —
+#: whenever a run needs that feature (see :class:`~repro.registry.Registry`).
+TOPOLOGIES = Registry("topology", "topologies", DEFAULT_TOPOLOGY,
+                      TOPOLOGY_CAPABILITIES, TopologyCapabilityError)
 
-
-def unregister(name: str) -> None:
-    """Remove a topology provider from the registry (primarily for tests)."""
-    TOPOLOGIES.pop(name, None)
-
-
-def get_spec(name: str) -> TopologySpec:
-    """The :class:`TopologySpec` registered under ``name``.
-
-    Raises ``KeyError`` with the known names so a CLI typo is diagnosable.
-    """
-    try:
-        return TOPOLOGIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown topology {name!r}; known topologies: {sorted(TOPOLOGIES)}"
-        ) from None
+register = TOPOLOGIES.register
+unregister = TOPOLOGIES.unregister
+get_spec = TOPOLOGIES.get_spec
+list_topologies = TOPOLOGIES.rows
+require_topology_capabilities = TOPOLOGIES.require
+#: ``resolve_topology(requested, params_provider)`` -> a validated
+#: provider *name* under the precedence in the module docstring.
+resolve_topology = TOPOLOGIES.resolve
 
 
 def topology_capabilities(name: str) -> frozenset[str]:
     """The declared capability flags of the provider named ``name``."""
     return get_spec(name).capabilities
-
-
-def list_topologies() -> list[dict]:
-    """JSON-safe registry listing, default provider first then by name."""
-    rows = [spec.describe() for spec in TOPOLOGIES.values()]
-    rows.sort(key=lambda row: (not row["default"], row["name"]))
-    return rows
-
-
-def resolve_topology(
-    requested: Optional[str] = None,
-    params_provider: Optional[str] = None,
-) -> str:
-    """Apply the documented selection precedence; returns a provider *name*.
-
-    ``requested`` is the run-level request (CLI ``--topology``, a serve
-    request's ``topology`` field, a campaign axis — all of which travel
-    as the job's ``("topology", name)`` extra); ``params_provider`` is
-    :attr:`TopologyParams.provider`.  Precedence: requested > params >
-    the registry default.  The winner is validated against the registry,
-    so a typo fails here — with the known names — rather than deep in a
-    run.
-    """
-    name = (
-        requested if requested is not None
-        else params_provider if params_provider is not None
-        else DEFAULT_TOPOLOGY
-    )
-    get_spec(name)  # fail fast on unknown names
-    return name
 
 
 def build_topology(
@@ -181,27 +96,3 @@ def build_topology(
     """
     name = resolve_topology(provider, params.provider)
     return get_spec(name).factory(params)
-
-
-def require_topology_capabilities(
-    name: str, needed: Iterable[str], context: str = "this run",
-) -> TopologySpec:
-    """Refuse, loudly, unless provider ``name`` declares every needed flag.
-
-    Raises :class:`TopologyCapabilityError` naming the provider, the
-    missing flags, and capable alternatives — the same fail-fast contract
-    the kernel registry applies.
-    """
-    spec = get_spec(name)
-    missing = set(needed) - spec.capabilities
-    if missing:
-        capable = sorted(
-            other.name for other in TOPOLOGIES.values()
-            if not (set(needed) - other.capabilities)
-        )
-        raise TopologyCapabilityError(
-            f"topology {name!r} does not support {sorted(missing)} "
-            f"(declared capabilities: {sorted(spec.capabilities)}), "
-            f"which {context} requires; capable topologies: {capable}"
-        )
-    return spec

@@ -19,7 +19,6 @@ Sources
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 
@@ -240,16 +239,6 @@ class ArchitectureParams:
         if provider is not None:
             overrides["provider"] = provider
         return dataclasses.replace(self, mesh=self.mesh.scaled(**overrides))
-
-    def with_mesh(self, **mesh_overrides) -> "ArchitectureParams":
-        """Deprecated alias of :meth:`with_topology` (pre-1.0; removed in v2.0)."""
-        warnings.warn(
-            "ArchitectureParams.with_mesh is deprecated and will be removed "
-            "in v2.0; use with_topology(**overrides) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.with_topology(**mesh_overrides)
 
 
 DEFAULT_PARAMS = ArchitectureParams()

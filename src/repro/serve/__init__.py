@@ -37,9 +37,10 @@ Or from the shell: ``repro serve`` / ``repro request``.
 
 from repro.serve.client import ServeClient, ServeClientError, ServeResponse
 from repro.serve.http import ServeServer, ServerThread, run
+from repro.exec.jobs import DESIGN_STYLES, LINK_WIDTHS
 from repro.serve.protocol import (
-    DESIGN_STYLES, LINK_WIDTHS, RequestError, canonical_digest, envelope,
-    error_envelope, parse_simulate, parse_sweep, result_fields,
+    RequestError, canonical_digest, envelope, error_envelope, parse_simulate,
+    parse_sweep, result_fields,
 )
 from repro.serve.scheduler import (
     RequestTimeout, ServeOutcome, ServiceOverloaded, SimulationScheduler,

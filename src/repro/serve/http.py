@@ -30,9 +30,10 @@ it to host a real server on an ephemeral port.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.serve.protocol import error_envelope
 from repro.serve.service import SimulationService
@@ -51,32 +52,45 @@ _STATUS_TEXT = {
 }
 
 
-class _BadRequest(Exception):
-    """Malformed HTTP or JSON input from the client."""
+class _BadRequest(ValueError):
+    """Malformed HTTP or JSON input from the peer."""
+
+
+async def read_head(
+    reader: asyncio.StreamReader, what: str = "request",
+) -> tuple[bytes, dict[str, str]]:
+    """Read one HTTP head: (first line, lower-cased headers).
+
+    Shared by the server's request parser and the cluster router's
+    response parser, so both sides of the wire bound a head at
+    :data:`MAX_HEAD_BYTES`.  Raises ``ConnectionResetError`` when the peer
+    closed before sending anything and :class:`_BadRequest` past the bound.
+    """
+    first = await reader.readline()
+    if not first:
+        raise ConnectionResetError(f"empty {what}")
+    headers: dict[str, str] = {}
+    head_bytes = len(first)
+    while True:
+        line = await reader.readline()
+        head_bytes += len(line)
+        if head_bytes > MAX_HEAD_BYTES:
+            raise _BadRequest(f"{what} head too large")
+        if line in (b"\r\n", b"\n", b""):
+            return first, headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> tuple[str, str, str, dict, bytes]:
     """Parse (method, path, version, headers, body) from one request."""
-    request_line = await reader.readline()
-    if not request_line:
-        raise ConnectionResetError("empty request")
+    request_line, headers = await read_head(reader)
     try:
         method, path, version = request_line.decode("ascii").split()
     except ValueError as exc:
         raise _BadRequest("malformed request line") from exc
-    headers: dict[str, str] = {}
-    head_bytes = len(request_line)
-    while True:
-        line = await reader.readline()
-        head_bytes += len(line)
-        if head_bytes > MAX_HEAD_BYTES:
-            raise _BadRequest("request head too large")
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError as exc:
@@ -115,7 +129,28 @@ class ServeServer:
         self.service = service
         self.host = host
         self.port = port
+        self.routes = self._routes()
         self._server: Optional[asyncio.base_events.Server] = None
+
+    def _routes(self) -> dict[tuple[str, str], tuple[Callable, bool]]:
+        """``(method, path) -> (handler, takes the decoded JSON body)``.
+
+        A handler returns an envelope (sent as 200) or a ``(status,
+        envelope, extra headers)`` triple, directly or as an awaitable.
+        405 and 404 are derived from this table; ``GET /v1/jobs/<id>``
+        (a stream, not an envelope) is the one route outside it.
+        """
+        service = self.service
+        return {
+            ("POST", "/v1/simulate"): (service.simulate, True),
+            ("POST", "/v1/sweep"): (service.sweep, True),
+            ("POST", "/v1/profile"): (service.profile, True),
+            ("POST", "/v1/control"): (service.control, True),
+            ("POST", "/v1/drain"): (service.drain, False),
+            ("GET", "/healthz"): (service.health, False),
+            ("GET", "/metrics"): (service.metrics, False),
+            ("GET", "/v1/trace"): (service.trace, False),
+        }
 
     async def start(self) -> None:
         """Start the service and bind the socket (port 0 -> ephemeral)."""
@@ -190,34 +225,21 @@ class ServeServer:
         if path.startswith("/v1/jobs/") and method == "GET":
             await self._stream_job(path[len("/v1/jobs/"):], writer)
             return True
-        if method == "POST" and path in ("/v1/simulate", "/v1/sweep",
-                                         "/v1/profile", "/v1/control"):
+        route = self.routes.get((method, path))
+        if route is not None:
+            handler, takes_body = route
             try:
-                payload = json.loads(body.decode("utf-8")) if body else {}
+                args = ((json.loads(body.decode("utf-8")) if body else {},)
+                        if takes_body else ())
             except (json.JSONDecodeError, UnicodeDecodeError):
                 respond(400, error_envelope("request body is not valid JSON"))
-                await writer.drain()
-                return False
-            if path == "/v1/simulate":
-                status, envelope_, extra = await self.service.simulate(payload)
-            elif path == "/v1/sweep":
-                status, envelope_, extra = await self.service.sweep(payload)
-            elif path == "/v1/profile":
-                status, envelope_, extra = self.service.profile(payload)
             else:
-                status, envelope_, extra = self.service.control(payload)
-            respond(status, envelope_, extra)
-        elif method == "POST" and path == "/v1/drain":
-            respond(200, self.service.drain())
-        elif method == "GET" and path == "/healthz":
-            respond(200, self.service.health())
-        elif method == "GET" and path == "/metrics":
-            respond(200, self.service.metrics())
-        elif method == "GET" and path == "/v1/trace":
-            respond(200, self.service.trace())
-        elif path in ("/v1/simulate", "/v1/sweep", "/v1/profile",
-                      "/v1/control", "/v1/drain", "/healthz", "/metrics",
-                      "/v1/trace"):
+                result = handler(*args)
+                if inspect.isawaitable(result):
+                    result = await result
+                respond(*(result if isinstance(result, tuple)
+                          else (200, result)))
+        elif any(path == known for _, known in self.routes):
             respond(405, error_envelope(f"{method} not allowed on {path}"))
         else:
             respond(404, error_envelope(f"no route for {method} {path}"))

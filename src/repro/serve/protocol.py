@@ -20,18 +20,14 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.exec.jobs import JobSpec, job_digest, normalize_spec, sweep_grid
+from repro.exec.jobs import (
+    JobSpec, SpecError, cell_extra, check_cell, job_digest, normalize_spec,
+    sweep_grid,
+)
 from repro.experiments.config import ExperimentConfig
 from repro.obs.result import RunResult
 from repro.params import ArchitectureParams
 from repro.version import package_version
-
-#: The design styles a request may name (shared with the CLI).
-DESIGN_STYLES = ("baseline", "static", "wire", "adaptive", "adaptive+mc",
-                 "mc-only")
-
-#: Mesh link widths the parameter tables model (bytes/cycle).
-LINK_WIDTHS = (16, 8, 4)
 
 
 class RequestError(ValueError):
@@ -48,13 +44,6 @@ def error_envelope(message: str, **fields) -> dict:
     return envelope(status="error", error=str(message), **fields)
 
 
-def known_workloads() -> tuple[str, ...]:
-    """Every workload name a request may ask for (patterns + applications)."""
-    from repro.traffic import APPLICATIONS, PATTERN_NAMES
-
-    return tuple(PATTERN_NAMES) + tuple(APPLICATIONS)
-
-
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise RequestError(message)
@@ -69,84 +58,41 @@ def _opt_int(payload: dict, name: str) -> Optional[int]:
     return value
 
 
-def _faults_extra(value) -> tuple[tuple[str, str], ...]:
-    """Validate a fault-spec string into the spec's ``extra`` field."""
-    if value is None:
-        return ()
-    _require(isinstance(value, str), "'faults' must be a spec string")
-    from repro.faults import as_schedule
-
-    try:
-        schedule = as_schedule(value)
-    except Exception as exc:
-        raise RequestError(f"invalid fault spec {value!r}: {exc}") from exc
-    if schedule is None:
-        return ()
-    return (("faults", schedule.canonical()),)
+def check_fields(payload, allowed: frozenset) -> None:
+    """A JSON-object body carrying only ``allowed`` fields, else 400."""
+    _require(isinstance(payload, dict), "request body must be a JSON object")
+    unknown = set(payload) - allowed
+    _require(not unknown, f"unknown request fields {sorted(unknown)}")
 
 
-def _topology_extra(value) -> tuple[tuple[str, str], ...]:
-    """Validate a topology request into the spec's ``extra`` field.
+def _cell_requests(payload: dict) -> dict:
+    """The type-checked per-cell requests, as :func:`cell_extra` keywords.
 
-    The explicit default-mesh request is dropped — exactly the
-    :func:`~repro.exec.jobs.sweep_grid` convention — so it shares the
-    historical mesh digest instead of forking the cache.
+    ``"online": true`` means the default control config, a string is a
+    :class:`~repro.control.loop.ControlConfig` spec, ``false``/absent is
+    the offline cell.  Names and spec syntax are the vocabulary's job
+    (:mod:`repro.exec.jobs`); only JSON types are checked here.
     """
-    if value is None:
-        return ()
-    _require(isinstance(value, str), "'topology' must be a provider name")
-    from repro.noc.topology import DEFAULT_TOPOLOGY, TOPOLOGIES
-
-    _require(value in TOPOLOGIES,
-             f"unknown topology {value!r}; one of {sorted(TOPOLOGIES)}")
-    if value == DEFAULT_TOPOLOGY:
-        return ()
-    return (("topology", value),)
-
-
-def _control_extra(value) -> tuple[tuple[str, str], ...]:
-    """Validate an ``online`` request field into the spec's ``extra``.
-
-    ``True`` means the default control config; a string is a
-    :class:`~repro.control.loop.ControlConfig` spec.  The canonical form
-    joins the digest, so an online cell never collides with its offline
-    twin.
-    """
-    if value is None or value is False:
-        return ()
-    if value is True:
-        value = ""
-    _require(isinstance(value, str),
-             "'online' must be a boolean or a control spec string")
-    from repro.control.loop import ControlConfig
-
-    try:
-        config = ControlConfig.from_spec(value)
-    except ValueError as exc:
-        raise RequestError(f"invalid control spec {value!r}: {exc}") from exc
-    return (("control", config.canonical()),)
+    online = payload.get("online")
+    if online is None or online is False:
+        control = None
+    else:
+        control = "" if online is True else online
+        _require(isinstance(control, str),
+                 "'online' must be a boolean or a control spec string")
+    faults = payload.get("faults")
+    _require(faults is None or isinstance(faults, str),
+             "'faults' must be a spec string")
+    topology = payload.get("topology")
+    _require(topology is None or isinstance(topology, str),
+             "'topology' must be a provider name")
+    return {"faults": faults, "topology": topology, "control": control}
 
 
-def _validate_workload(workload, online: bool) -> None:
-    """A known workload name — or, for online cells, a phased composite."""
-    _require(isinstance(workload, str), "'workload' must be a string")
-    names = known_workloads()
-    if workload in names:
-        return
-    from repro.control.run import PHASED_PREFIX, parse_phased_workload
-
-    if online and workload.startswith(PHASED_PREFIX):
-        try:
-            phases, _ = parse_phased_workload(workload)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from exc
-        for phase in phases:
-            _require(phase in names,
-                     f"unknown workload {phase!r} in {workload!r}")
-        return
-    _require(not workload.startswith(PHASED_PREFIX),
-             "phased workloads require an online (closed-loop) run")
-    raise RequestError(f"unknown workload {workload!r}")
+def _adaptive(payload: dict) -> bool:
+    adaptive = payload.get("adaptive_routing", False)
+    _require(isinstance(adaptive, bool), "'adaptive_routing' must be boolean")
+    return adaptive
 
 
 #: Fields a simulate request may carry (anything else is rejected).
@@ -163,28 +109,20 @@ def parse_simulate(payload: dict) -> JobSpec:
     wrong types; the spec comes back un-normalized (the scheduler
     normalizes against its own config so equal cells share one digest).
     """
-    _require(isinstance(payload, dict), "request body must be a JSON object")
-    unknown = set(payload) - SIMULATE_FIELDS
-    _require(not unknown, f"unknown request fields {sorted(unknown)}")
-    control = _control_extra(payload.get("online"))
+    check_fields(payload, SIMULATE_FIELDS)
+    requests = _cell_requests(payload)
     design = payload.get("design", "baseline")
-    _require(design in DESIGN_STYLES,
-             f"unknown design {design!r}; one of {list(DESIGN_STYLES)}")
-    if control:
-        from repro.control.run import CONTROL_STYLES
-
-        _require(design in CONTROL_STYLES,
-                 f"online runs accept designs {list(CONTROL_STYLES)}")
     workload = payload.get("workload", "uniform")
-    _validate_workload(workload, online=bool(control))
     width = payload.get("width", 16)
-    _require(width in LINK_WIDTHS,
-             f"width must be one of {list(LINK_WIDTHS)} (bytes/cycle)")
-    adaptive = payload.get("adaptive_routing", False)
-    _require(isinstance(adaptive, bool), "'adaptive_routing' must be boolean")
     access_points = _opt_int(payload, "access_points")
     _require(access_points is None or access_points > 0,
              "'access_points' must be positive")
+    try:
+        check_cell(design, width, workload,
+                   online=requests["control"] is not None)
+        extra = cell_extra(**requests)
+    except SpecError as exc:
+        raise RequestError(str(exc)) from exc
     return JobSpec(
         kind="unicast",
         style=design,
@@ -192,10 +130,8 @@ def parse_simulate(payload: dict) -> JobSpec:
         workload=workload,
         seed=_opt_int(payload, "seed"),
         num_access_points=access_points,
-        adaptive_routing=adaptive,
-        extra=tuple(sorted(_faults_extra(payload.get("faults"))
-                           + _topology_extra(payload.get("topology"))
-                           + control)),
+        adaptive_routing=_adaptive(payload),
+        extra=extra,
     )
 
 
@@ -206,7 +142,7 @@ SWEEP_FIELDS = frozenset({
 })
 
 
-def _str_list(payload: dict, name: str, default: list) -> list:
+def _axis(payload: dict, name: str, default: list) -> list:
     value = payload.get(name, default)
     _require(isinstance(value, list) and value,
              f"{name!r} must be a non-empty list")
@@ -215,42 +151,21 @@ def _str_list(payload: dict, name: str, default: list) -> list:
 
 def parse_sweep(payload: dict) -> list[JobSpec]:
     """Validate one sweep request body into the grid of specs it names."""
-    _require(isinstance(payload, dict), "request body must be a JSON object")
-    unknown = set(payload) - SWEEP_FIELDS
-    _require(not unknown, f"unknown request fields {sorted(unknown)}")
-    control = _control_extra(payload.get("online"))
-    styles = _str_list(payload, "styles", ["baseline"])
-    for style in styles:
-        _require(style in DESIGN_STYLES, f"unknown design {style!r}")
-        if control:
-            from repro.control.run import CONTROL_STYLES
-
-            _require(style in CONTROL_STYLES,
-                     f"online sweeps accept designs {list(CONTROL_STYLES)}")
-    widths = _str_list(payload, "widths", [16])
-    for width in widths:
-        _require(width in LINK_WIDTHS,
-                 f"width must be one of {list(LINK_WIDTHS)}")
-    workloads = _str_list(payload, "workloads", ["uniform"])
-    for workload in workloads:
-        _validate_workload(workload, online=bool(control))
-    seeds = payload.get("seeds", [None])
-    _require(isinstance(seeds, list) and seeds, "'seeds' must be a list")
+    check_fields(payload, SWEEP_FIELDS)
+    requests = _cell_requests(payload)
+    seeds = _axis(payload, "seeds", [None])
     for seed in seeds:
         _require(seed is None or (isinstance(seed, int)
                                   and not isinstance(seed, bool)),
                  "'seeds' entries must be integers or null")
-    adaptive = payload.get("adaptive_routing", False)
-    _require(isinstance(adaptive, bool), "'adaptive_routing' must be boolean")
-    faults = payload.get("faults")
-    if faults is not None:
-        _faults_extra(faults)      # validate eagerly for a clean 400
-    topology = payload.get("topology")
-    if topology is not None:
-        _topology_extra(topology)  # validate eagerly for a clean 400
-    return sweep_grid(styles, widths, workloads, adaptive_routing=adaptive,
-                      seeds=seeds, faults=faults, topology=topology,
-                      control=control[0][1] if control else None)
+    try:
+        return sweep_grid(
+            _axis(payload, "styles", ["baseline"]),
+            _axis(payload, "widths", [16]),
+            _axis(payload, "workloads", ["uniform"]),
+            adaptive_routing=_adaptive(payload), seeds=seeds, **requests)
+    except SpecError as exc:
+        raise RequestError(str(exc)) from exc
 
 
 def spec_fields(spec: JobSpec) -> dict:

@@ -48,8 +48,8 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTracer
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
 from repro.serve.protocol import (
-    RequestError, envelope, error_envelope, parse_simulate, parse_sweep,
-    request_timeout, result_fields,
+    RequestError, check_fields, envelope, error_envelope, parse_simulate,
+    parse_sweep, request_timeout, result_fields,
 )
 from repro.serve.scheduler import (
     RequestTimeout, ServiceOverloaded, SimulationScheduler,
@@ -70,6 +70,37 @@ class SweepJob:
     summary: Optional[dict] = None
     cond: asyncio.Condition = field(default_factory=asyncio.Condition)
     task: Optional[asyncio.Task] = None
+
+    async def emit(self, event: dict) -> None:
+        """Append one progress event and wake every streaming reader."""
+        async with self.cond:
+            self.events.append(event)
+            self.cond.notify_all()
+
+    async def finish(self, status: str, summary: dict) -> None:
+        """Settle the job and emit its terminal ``complete`` event."""
+        async with self.cond:
+            self.status = status
+            self.summary = summary
+            self.events.append(
+                {"event": "complete", "status": status, "summary": summary}
+            )
+            self.cond.notify_all()
+
+    async def stream(self) -> AsyncIterator[dict]:
+        """Every event from the first, ending after ``complete``."""
+        index = 0
+        while True:
+            async with self.cond:
+                while index >= len(self.events) and self.status == "running":
+                    await self.cond.wait()
+                fresh = self.events[index:]
+                index = len(self.events)
+                finished = self.status != "running"
+            for event in fresh:
+                yield event
+            if finished and index >= len(self.events):
+                return
 
 
 class SimulationService:
@@ -195,21 +226,6 @@ class SimulationService:
         return 202, envelope(status="accepted", job_id=job_id,
                              cells=len(specs)), {}
 
-    async def _job_event(self, job: SweepJob, event: dict) -> None:
-        async with job.cond:
-            job.events.append(event)
-            job.cond.notify_all()
-
-    async def _finish_job(self, job: SweepJob, status: str,
-                          summary: dict) -> None:
-        async with job.cond:
-            job.status = status
-            job.summary = summary
-            job.events.append(
-                {"event": "complete", "status": status, "summary": summary}
-            )
-            job.cond.notify_all()
-
     async def _run_one_cell(self, job: SweepJob, index: int, spec: JobSpec,
                             sem: asyncio.Semaphore, tally: dict) -> None:
         async with sem:
@@ -220,7 +236,7 @@ class SimulationService:
                 except ServiceOverloaded as exc:
                     # Batch cells defer to interactive load instead of
                     # failing: back off and re-offer the cell.
-                    await self._job_event(job, {
+                    await job.emit({
                         "event": "backoff", "index": index,
                         "retry_after_s": exc.retry_after_s,
                     })
@@ -228,7 +244,7 @@ class SimulationService:
                     continue
                 break
             tally[outcome.source] = tally.get(outcome.source, 0) + 1
-            await self._job_event(job, {
+            await job.emit({
                 "event": "hit" if outcome.source == "store" else "done",
                 "index": index,
                 "source": outcome.source,
@@ -247,12 +263,12 @@ class SimulationService:
                 for i, spec in enumerate(job.specs)
             ))
         except asyncio.CancelledError:
-            await self._finish_job(job, "failed", {"error": "cancelled"})
+            await job.finish("failed", {"error": "cancelled"})
             raise
         except Exception as exc:
-            await self._finish_job(job, "failed", {"error": str(exc)})
+            await job.finish("failed", {"error": str(exc)})
             return
-        await self._finish_job(job, "done", {
+        await job.finish("done", {
             "cells": len(job.specs),
             "wall_s": time.perf_counter() - start,
             "sources": dict(sorted(tally.items())),
@@ -268,31 +284,7 @@ class SimulationService:
             self._trace("jobs", f"404 {job_id}")
             return None
         self._trace("jobs", f"200 {job_id}")
-
-        async def _events() -> AsyncIterator[dict]:
-            index = 0
-            while True:
-                async with job.cond:
-                    while index >= len(job.events) and job.status == "running":
-                        await job.cond.wait()
-                    fresh = job.events[index:]
-                    index = len(job.events)
-                    finished = job.status != "running"
-                for event in fresh:
-                    yield event
-                if finished and index >= len(job.events):
-                    return
-
-        return _events()
-
-    def job_status(self, job_id: str) -> Optional[dict]:
-        """A point-in-time job snapshot (no streaming)."""
-        job = self.jobs.get(job_id)
-        if job is None:
-            return None
-        return envelope(status=job.status, job_id=job.job_id,
-                        cells=len(job.specs), events=len(job.events),
-                        summary=job.summary)
+        return job.stream()
 
     # -- control plane: ingest + decide -------------------------------------
 
@@ -325,12 +317,7 @@ class SimulationService:
         self._count("profile")
         topo, ingest = self._control_state()
         try:
-            if not isinstance(payload, dict):
-                raise RequestError("request body must be a JSON object")
-            unknown = set(payload) - self.PROFILE_FIELDS
-            if unknown:
-                raise RequestError(
-                    f"unknown request fields {sorted(unknown)}")
+            check_fields(payload, self.PROFILE_FIELDS)
             pairs = payload.get("pairs", [])
             if not isinstance(pairs, list):
                 raise RequestError("'pairs' must be a list")
@@ -360,12 +347,7 @@ class SimulationService:
         """
         self._count("control")
         try:
-            if not isinstance(payload, dict):
-                raise RequestError("request body must be a JSON object")
-            unknown = set(payload) - self.CONTROL_FIELDS
-            if unknown:
-                raise RequestError(
-                    f"unknown request fields {sorted(unknown)}")
+            check_fields(payload, self.CONTROL_FIELDS)
             from repro.control.compiler import compile_configuration
             from repro.control.decide import ShortcutDecider
             from repro.control.loop import ControlConfig

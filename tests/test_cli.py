@@ -218,33 +218,28 @@ class TestSimulate:
         assert "latency" in out
         assert "power" in out
 
-    def test_legacy_trace_alias(self, capsys):
-        """The pre-1.0 ``--trace`` spelling still selects the workload."""
-        assert main([
-            "simulate", "--design", "baseline", "--trace", "uniform",
-            "--fast",
-        ]) == 0
-        assert "workload  : uniform" in capsys.readouterr().out
-
-    def test_trace_alias_warns_deprecation(self):
-        """The hidden pre-1.0 spellings announce their removal horizon."""
-        with pytest.warns(DeprecationWarning, match="--workload instead"):
-            build_parser().parse_args(
-                ["simulate", "--trace", "uniform", "--fast"])
-        with pytest.warns(DeprecationWarning, match="--workloads instead"):
-            build_parser().parse_args(["sweep", "--traces", "uniform"])
-
-    def test_removal_horizon_in_help_epilog(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--help"])
-        assert "removed in v2.0" in capsys.readouterr().out
-
     def test_trace_alias_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--help"])
         help_text = capsys.readouterr().out
         assert "--workload" in help_text
         assert "--trace " not in help_text and "--trace\n" not in help_text
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--trace", "x", "--fast"],
+        ["sweep", "--traces", "x", "--fast"],
+    ])
+    def test_removed_aliases_are_refused(self, argv, tmp_path, monkeypatch):
+        """No shim and no prefix match: argparse itself exits 2.
+
+        With abbreviations allowed ``--trace x`` would silently become
+        ``--trace-events x`` and write an event file named ``x``.
+        """
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "x").exists()
 
     def test_heatmap_flag(self, capsys):
         assert main([
@@ -333,10 +328,10 @@ class TestJsonEverywhere:
 
 
 class TestSweepCommand:
-    def test_sweep_json_and_legacy_traces_alias(self, tmp_path, capsys):
+    def test_sweep_json(self, tmp_path, capsys):
         assert main([
             "sweep", "--styles", "baseline", "--widths", "16",
-            "--traces", "uniform", "--fast", "--json",
+            "--workloads", "uniform", "--fast", "--json",
             "--cache", str(tmp_path / "cache"),
         ]) == 0
         payload = json.loads(capsys.readouterr().out)

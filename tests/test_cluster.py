@@ -255,6 +255,16 @@ class TestRouterEndToEnd:
         assert "unknown design" in response.payload["error"]
         assert client.cluster().payload["counters"]["rejected"] >= 1
 
+    def test_router_errors_come_from_its_own_route_table(self, cluster2):
+        _cluster, client = cluster2
+        # Known router paths, wrong method -> 405; everything else -> 404,
+        # including routes only a worker serves.
+        assert client._request("GET", "/v1/simulate").status == 405
+        assert client._request("POST", "/cluster").status == 405
+        assert client._request("GET", "/nope").status == 404
+        assert client._request("POST", "/v1/profile", {}).status == 404
+        assert client._request("GET", "/v1/trace").status == 404
+
     def test_unroutable_key_gets_503_with_retry_after(self, cluster2):
         cluster, client = cluster2
         for shard_id in cluster.router.shards:

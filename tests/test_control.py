@@ -234,6 +234,73 @@ class TestPhasedWorkloads:
             parse_phased_workload("phased:a+b@nope")
 
 
+class TestControlLoop:
+    """The epoch scheduler itself, driven cycle by cycle on a bare network."""
+
+    def make(self, topo, source=None, **knobs):
+        from repro.control import ControlLoop
+        from repro.core import RFIOverlay, baseline
+        from repro.core.reconfig import ReconfigurationController
+        from repro.params import ArchitectureParams
+        from repro.traffic import ProbabilisticTraffic, hotspot_at
+
+        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
+        controller = ReconfigurationController(topo, overlay)
+        if source is None:
+            pattern = hotspot_at(topo, [(7, 0)], strength=16)
+            source = ProbabilisticTraffic(topo, pattern, 0.02, seed=3)
+        net = baseline(16, ArchitectureParams(), topo).new_network()
+        return net, ControlLoop(source, controller, ControlConfig(**knobs))
+
+    def test_applied_retune_charges_overhead(self, topo):
+        net, loop = self.make(topo, epoch_cycles=800)
+        for _ in range(2_500):
+            loop.tick(net)
+            net.step()
+        applied = [r for r in loop.journal if r.action == "applied"]
+        assert applied
+        for record in applied:
+            # 99-cycle table update + tuning, plus a non-negative drain.
+            assert record.overhead_cycles >= 99
+            assert record.drain_cycles >= 0
+            assert record.shortcuts == 16
+
+    def test_under_evidenced_window_is_skipped(self, topo):
+        class Silent:
+            def sample_messages(self, cycle):
+                return []
+
+        net, loop = self.make(topo, Silent(), epoch_cycles=50)
+        for _ in range(500):
+            loop.tick(net)
+            net.step()
+        assert loop.applied == 0
+        assert len(loop.journal) >= 2
+        assert {(r.action, r.reason) for r in loop.journal} == {
+            ("skipped", "insufficient-traffic")}
+
+    def test_drain_deadline_skips_the_epoch(self, topo):
+        """A network that never quiesces costs a skipped epoch, not a hang."""
+        from repro.control.loop import Phase
+        from repro.noc import Message
+
+        net, loop = self.make(topo, drain_deadline_cycles=5)
+        loop.phase = Phase.DRAIN
+        loop._drain_started = net.cycle
+        for _ in range(10):
+            # Keep the network permanently busy: a fresh wormhole every
+            # cycle, so in_flight never reaches zero during the drain.
+            net.inject(Message(src=0, dst=99, size_bytes=39))
+            loop.tick(net)
+            net.step()
+        assert [(r.action, r.reason) for r in loop.journal] == [
+            ("skipped", "drain-deadline")]
+        assert loop.journal.to_dicts()[0]["drain_cycles"] == 5
+        assert loop.phase is Phase.MEASURE
+        # The epoch rolled: the next attempt is a full epoch away, not hot.
+        assert loop.next_epoch_at > net.cycle
+
+
 class TestClosedLoopRuns:
     def test_deterministic_journal_digest(self, runner):
         """Same (seed, profile stream) -> identical decision journal."""
@@ -280,7 +347,8 @@ class TestClosedLoopRuns:
             run_closed_loop(runner, "uniform", style="wire", control="")
 
     def test_rejects_unknown_phase(self, runner):
-        with pytest.raises(KeyError):
+        # Caught by the shared vocabulary before any network is built.
+        with pytest.raises(ValueError, match=r"unknown workloads \['bogus'\]"):
             run_closed_loop(runner, "phased:uniform+bogus@500", control=SPEC)
 
 
@@ -310,7 +378,7 @@ class TestApiAndSweep:
     def test_sweep_grid_control_style_restriction(self):
         from repro.exec import sweep_grid
 
-        with pytest.raises(ValueError, match="online sweeps"):
+        with pytest.raises(ValueError, match="online runs accept designs"):
             sweep_grid(["wire"], [16], ["uniform"], control="")
 
 
@@ -402,7 +470,8 @@ class TestCampaignAxis:
     def test_mixed_axis_rejects_phased_workloads(self):
         from repro.campaign.spec import CampaignError, spec_from_dict
 
-        with pytest.raises(CampaignError, match="all-online"):
+        with pytest.raises(CampaignError,
+                           match="requires an online .closed-loop. run"):
             spec_from_dict({"name": "bad", "styles": ["adaptive"],
                             "workloads": [WORKLOAD],
                             "control": [None, ""]})

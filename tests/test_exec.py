@@ -414,7 +414,7 @@ class TestSweepCLI:
         from repro.cli import main
 
         argv = ["sweep", "--styles", "baseline", "--widths", "16",
-                "--traces", "uniform", "--fast", "--jobs", "1",
+                "--workloads", "uniform", "--fast", "--jobs", "1",
                 "--cache", str(tmp_path / "cache"),
                 "--out", str(tmp_path / "sweep.json")]
         assert main(argv) == 0

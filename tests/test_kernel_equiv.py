@@ -274,32 +274,15 @@ def test_kernel_registry():
     assert get_spec("batch").capabilities == frozenset(
         {"faults", "multicast", "stage_profile"}
     )
+    assert kernel_capabilities("reference") == CAPABILITIES == frozenset(
+        {"faults", "multicast", "stage_profile"}
+    )
     with pytest.raises(KeyError, match="reference"):
         get_kernel("warp-speed")
     # Default kernel is listed first; the rest alphabetically.
     rows = list_kernels()
     assert [row["name"] for row in rows] == ["batch", "reference"]
     assert rows[0]["default"] is True and rows[1]["default"] is False
-
-
-def test_register_validates_and_unregisters():
-    class ToyKernel(BatchKernel):
-        name = "toy"
-
-    register("toy", ToyKernel, capabilities={"faults"})
-    try:
-        assert kernel_capabilities("toy") == frozenset({"faults"})
-        with pytest.raises(ValueError, match="already registered"):
-            register("toy", ToyKernel)
-    finally:
-        unregister("toy")
-    assert "toy" not in KERNELS
-    with pytest.raises(ValueError, match="unknown kernel capabilities"):
-        register("toy2", ToyKernel, capabilities={"time-travel"})
-    assert "toy2" not in KERNELS
-    assert CAPABILITIES == frozenset(
-        {"faults", "multicast", "stage_profile"}
-    )
 
 
 def test_resolve_kernel_precedence():

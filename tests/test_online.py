@@ -1,17 +1,19 @@
-"""Tests for runtime (online) reconfiguration and network retuning."""
+"""Tests for network retuning, phased sources and multicast re-planning.
+
+The runtime reconfiguration loop itself (``repro.control.ControlLoop``)
+is tested in ``tests/test_control.py``.
+"""
 
 import pytest
 
-from repro.core import (
-    OnlineReconfigurator, PhasedSource, RFIOverlay, baseline,
-)
+from repro.core import PhasedSource, RFIOverlay
 from repro.core.reconfig import ReconfigurationController
 from repro.noc import (
     Message, MeshTopology, Network, RoutingTables, Shortcut,
 )
 from repro.noc.simulator import Simulator
 from repro.params import ArchitectureParams, MeshParams, SimulationParams
-from repro.traffic import ProbabilisticTraffic, all_patterns, hotspot_at
+from repro.traffic import ProbabilisticTraffic, all_patterns
 
 PARAMS = ArchitectureParams()
 
@@ -64,100 +66,6 @@ class TestPhasedSource:
     def test_requires_sources(self):
         with pytest.raises(ValueError):
             PhasedSource([], phase_cycles=10)
-
-
-class TestOnlineReconfigurator:
-    def make(self, topo, interval=800, **kwargs):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
-        pattern = hotspot_at(topo, [(7, 0)], strength=16)
-        source = ProbabilisticTraffic(topo, pattern, 0.02, seed=3)
-        net = baseline(16, PARAMS, topo).new_network()
-        online = OnlineReconfigurator(source, controller,
-                                      interval_cycles=interval, **kwargs)
-        return net, online
-
-    def test_reconfigures_on_schedule(self, topo):
-        net, online = self.make(topo)
-        sim = SimulationParams(warmup_cycles=100, measure_cycles=2_500,
-                               drain_cycles=6_000)
-        stats = Simulator(net, [online], sim).run()
-        assert online.reconfigurations >= 2
-        assert stats.delivered_packets > 0
-        # The adapted network actually uses its shortcuts.
-        assert stats.rf_hop_sum > 0
-
-    def test_overhead_charged(self, topo):
-        net, online = self.make(topo)
-        for _ in range(2_500):
-            online.tick(net)
-            net.step()
-        assert online.events
-        for event in online.events:
-            # 99-cycle table update + tuning, plus a non-negative drain.
-            assert event.overhead_cycles >= 99
-            assert event.drain_cycles >= 0
-            assert len(event.shortcuts) == 16
-
-    def test_postpones_without_evidence(self, topo):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
-
-        class Silent:
-            def sample_messages(self, cycle):
-                return []
-
-        net = baseline(16, PARAMS, topo).new_network()
-        online = OnlineReconfigurator(Silent(), controller, interval_cycles=50)
-        for _ in range(500):
-            online.tick(net)
-            net.step()
-        assert online.reconfigurations == 0
-
-    def test_decay_validated(self, topo):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
-        with pytest.raises(ValueError):
-            OnlineReconfigurator(object(), controller, decay=1.5)
-
-    def test_drain_deadline_validated(self, topo):
-        overlay = RFIOverlay(topo, topo.rf_enabled_routers(50), adaptive=True)
-        controller = ReconfigurationController(topo, overlay)
-        with pytest.raises(ValueError):
-            OnlineReconfigurator(object(), controller,
-                                 drain_deadline_cycles=0)
-
-    def test_drain_deadline_breaks_livelock(self, topo):
-        """A network that never quiesces costs a skipped epoch, not a hang."""
-        from repro.core.online import Phase
-
-        net, online = self.make(topo, drain_deadline_cycles=5)
-        online.phase = Phase.DRAIN
-        online._drain_started = net.cycle
-        for _ in range(10):
-            # Keep the network permanently busy: a fresh wormhole every
-            # cycle, so in_flight never reaches zero during the drain.
-            net.inject(Message(src=0, dst=99, size_bytes=39))
-            online.tick(net)
-            net.step()
-        assert online.drain_timeouts == 1
-        assert online.phase is Phase.MEASURE
-        assert online.reconfigurations == 0
-        # The next attempt is postponed a full interval, not retried hot.
-        assert online.next_reconfig_at > net.cycle
-
-    def test_no_deadline_keeps_draining(self, topo):
-        from repro.core.online import Phase
-
-        net, online = self.make(topo)  # drain_deadline_cycles=None
-        online.phase = Phase.DRAIN
-        online._drain_started = net.cycle
-        for _ in range(10):
-            net.inject(Message(src=0, dst=99, size_bytes=39))
-            online.tick(net)
-            net.step()
-        assert online.drain_timeouts == 0
-        assert online.phase is Phase.DRAIN
 
 
 class TestMulticastReconfigure:

@@ -66,12 +66,6 @@ class TestArchitectureParams:
         assert p.mesh.provider == "torus"
         assert p.topology is p.mesh
 
-    def test_with_mesh_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="with_topology"):
-            p = ArchitectureParams().with_mesh(width=4, height=4, num_cores=8,
-                                               num_caches=4, num_memports=4)
-        assert p.mesh.num_routers == 16
-
     def test_default_instance(self):
         assert DEFAULT_PARAMS.mesh.width == 10
         assert DEFAULT_PARAMS.message == MessageParams()

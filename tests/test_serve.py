@@ -126,6 +126,44 @@ class TestProtocol:
             request_timeout({"timeout_s": -1}, 2.0)
 
 
+class TestReadHead:
+    """The one head parser both the server and the router's proxy use."""
+
+    @staticmethod
+    def read(data: bytes, what: str):
+        from repro.serve.http import read_head
+
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            reader.feed_eof()
+            return await read_head(reader, what)
+
+        return run_async(go())
+
+    def test_parses_first_line_and_lowercases_headers(self):
+        first, headers = self.read(
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-A:  b \r\n\r\n{}",
+            "response")
+        assert first == b"HTTP/1.1 200 OK\r\n"
+        assert headers == {"content-length": "2", "x-a": "b"}
+
+    @pytest.mark.parametrize("what", ["request", "response"])
+    def test_head_is_bounded_in_both_directions(self, what):
+        from repro.serve.http import MAX_HEAD_BYTES
+
+        line = b"X-Pad: " + b"a" * 1000 + b"\r\n"
+        flood = b"GET / HTTP/1.1\r\n" + line * (MAX_HEAD_BYTES // 1000 + 2)
+        # A ValueError, which the router's proxy already treats as a
+        # broken exchange (the server answers it with a 400).
+        with pytest.raises(ValueError, match=f"{what} head too large"):
+            self.read(flood, what)
+
+    def test_peer_closing_first_is_a_reset(self):
+        with pytest.raises(ConnectionResetError):
+            self.read(b"", "response")
+
+
 # -- scheduler (stub executor: no processes, deterministic) ------------------
 
 def stub_payload(workload="uniform"):

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exec.jobs import JobSpec, job_digest, sweep_grid
+from repro.exec.jobs import JobSpec, SpecError, job_digest, sweep_grid
 from repro.experiments import FAST_CONFIG, ExperimentRunner
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.noc.routing import RoutingTables, Shortcut
@@ -98,22 +98,6 @@ class TestRegistry:
         assert [row["name"] for row in rows] == ["mesh", "cmesh", "torus"]
         assert rows[0]["default"] is True
         assert all(row["summary"] for row in rows)
-
-    def test_register_validates_and_unregisters(self):
-        class ToyTopology(MeshTopology):
-            name = "toy"
-
-        register("toy", ToyTopology, capabilities={"overlay"})
-        try:
-            assert topology_capabilities("toy") == frozenset({"overlay"})
-            with pytest.raises(ValueError, match="already registered"):
-                register("toy", ToyTopology)
-        finally:
-            unregister("toy")
-        assert "toy" not in TOPOLOGIES
-        with pytest.raises(ValueError, match="unknown topology capabilities"):
-            register("toy2", ToyTopology, capabilities={"teleport"})
-        assert "toy2" not in TOPOLOGIES
 
     def test_resolve_precedence(self):
         assert resolve_topology("torus", "cmesh") == "torus"
@@ -383,7 +367,7 @@ class TestDigestSemantics:
         assert plain == explicit
         torus = sweep_grid(["static"], [16], ["uniform"], topology="torus")
         assert dict(torus[0].extra)["topology"] == "torus"
-        with pytest.raises(KeyError, match="hypercube"):
+        with pytest.raises(SpecError, match="unknown topology 'hypercube'"):
             sweep_grid(["static"], [16], ["uniform"], topology="hypercube")
 
 
