@@ -1,10 +1,7 @@
 """One coherent run API: ``simulate()``, ``sweep()``, ``compare()``.
 
-The three historical entrypoints each took and returned differently-shaped
-objects (``Simulator.run`` -> stats, ``ExperimentRunner.run_unicast`` ->
-runner results, ``run_sweep`` -> engine outcomes).  This facade puts one
-surface over all of them, returning the unified
-:class:`~repro.obs.result.RunResult` everywhere::
+One surface over ``Simulator``, ``ExperimentRunner`` and ``run_sweep``,
+returning the unified :class:`~repro.obs.result.RunResult` everywhere::
 
     import repro
     result = repro.simulate("adaptive", "1Hotspot", trace_events="ev.jsonl")
@@ -14,8 +11,9 @@ surface over all of them, returning the unified
     comparison = repro.compare(["baseline", "static"], "uniform")
     comparison.normalized_latency()            # vs the first design
 
-The legacy shapes keep working as deprecation shims; new code (and the
-CLI) should come through here.
+The lower layers stay public (``Simulator.run`` returns the bare stats,
+``ExperimentRunner.prepare(spec).run()`` is the one cell pipeline every
+surface shares); new code (and the CLI) should come through here.
 """
 
 from __future__ import annotations

@@ -396,15 +396,7 @@ def cmd_sweep(args) -> int:
                 "wall_s": outcome.wall_s,
                 "attempts": outcome.attempts,
                 "profile": outcome.profile,
-                "result": {
-                    "design": outcome.result.design,
-                    "workload": outcome.result.workload,
-                    "avg_latency": outcome.result.avg_latency,
-                    "avg_flit_latency": outcome.result.avg_flit_latency,
-                    "power_w": outcome.result.total_power_w,
-                    "area_mm2": outcome.result.total_area_mm2,
-                    "provenance": outcome.result.provenance,
-                },
+                "result": outcome.result.summary(),
             }
             for outcome in report.outcomes
         ],

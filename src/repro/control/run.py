@@ -13,9 +13,10 @@ known pattern/application name or a *phased* composite,
 ``"phased:uniform+1Hotspot+4Hotspot@1500"`` — the canonical stressor
 where no single static placement fits (see the O-series experiments).
 
-Store payloads are :func:`~repro.exec.serialize.encode_result` plus a
-``"control"`` section carrying the decision journal, so a warm replay
-returns the identical journal (and journal digest) the cold run wrote.
+The decision journal rides inside the result
+(:attr:`RunResult.control <repro.obs.result.RunResult.control>`), so the
+stored payload — and a warm replay's journal and journal digest — is the
+same whichever surface computed the cell.
 """
 
 from __future__ import annotations
@@ -78,8 +79,9 @@ def build_control_cell(
     runner: ExperimentRunner,
     spec,
     control: ControlConfig,
-    kernel: Optional[str] = None,
-) -> tuple[DesignPoint, ControlLoop, "Simulator"]:
+    observation=None,
+    stage_profile=None,
+) -> tuple[DesignPoint, ControlLoop, Simulator]:
     """Build the network + closed loop for one online cell (unrun).
 
     Returned pieces share state: the loop is the simulator's only traffic
@@ -127,15 +129,13 @@ def build_control_cell(
         else PhasedSource(sources, phase_cycles)
     )
     loop = ControlLoop(source, controller, control, initial=initial)
-    network = design.new_network(kernel)
-    simulator = Simulator(
-        network, [loop], runner.config.sim,
-        observation=None, stage_profile=None,
+    return design, loop, Simulator(
+        design.new_network(), [loop], runner.config.sim,
+        observation=observation, stage_profile=stage_profile,
     )
-    return design, loop, simulator
 
 
-# -- engine hooks ------------------------------------------------------------
+# -- engine hook -------------------------------------------------------------
 
 def prepare_control(
     runner: ExperimentRunner,
@@ -143,77 +143,34 @@ def prepare_control(
     observation=None,
     stage_profile=None,
 ) -> PreparedRun:
-    """Build one online cell without running it.
+    """The online cell of a normalized spec, unrun.
 
-    Same caching contract as ``prepare_unicast`` — memo and store hits
-    return immediately — plus a ``control_journal`` attribute on the
-    returned :class:`PreparedRun` holding the cell's
-    :class:`~repro.control.journal.DecisionJournal` (live during the run,
-    reconstructed on a warm hit).
+    Reached through :meth:`ExperimentRunner.prepare` (which dispatches on
+    the spec's ``("control", ...)`` extra); same caching contract as every
+    other cell, and the finished result carries the decision journal in
+    :attr:`RunResult.control`.
     """
-    from repro.exec import encode_result, normalize_spec
     from repro.obs import MetricsRegistry, Observation
 
-    spec = normalize_spec(spec, runner.config)
-    extra = dict(spec.extra)
-    control = ControlConfig.from_spec(extra.get("control"))
-    auto_observed = observation is None
-    if auto_observed:
+    control = ControlConfig.from_spec(dict(spec.extra)["control"])
+    cacheable = observation is None
+    if cacheable:
         # Control counters are part of the deliverable, so online runs are
         # always metered; the snapshot is deterministic and rides in the
         # stored payload like any observed result.
         observation = Observation(metrics=MetricsRegistry())
-    key = ("control", spec.style, spec.link_bytes, spec.workload, spec.seed,
-           spec.num_access_points, control.canonical(),
-           extra.get("faults"), extra.get("topology"))
-    if auto_observed and key in runner._results:
-        result, journal = runner._results[key]
-        prep = PreparedRun(result=result)
-        prep.control_journal = journal
-        return prep
-    payload = runner._store_load(spec) if auto_observed else None
-    if payload is not None and "control" in payload:
-        result = runner._restore(payload, spec)
-        journal = DecisionJournal.from_dicts(payload["control"]["journal"])
-        runner._results[key] = (result, journal)
-        prep = PreparedRun(result=result)
-        prep.control_journal = journal
-        return prep
-    design, loop, simulator = build_control_cell(runner, spec, control)
-    simulator.observation = observation
-    simulator.stage_profile = stage_profile
 
-    def package(stats) -> RunResult:
-        runner.simulations_run += 1
-        result = runner._package(design, spec.workload, stats,
-                                 spec=spec, observation=observation)
-        if auto_observed:
-            blob = encode_result(result)
-            blob["control"] = {
-                "spec": control.canonical(),
-                "journal": loop.journal.to_dicts(),
-                "summary": control_summary(loop.journal),
-            }
-            runner._store_save(spec, blob)
-            runner._results[key] = (result, loop.journal)
-        return result
+    def build():
+        design, loop, simulator = build_control_cell(
+            runner, spec, control, observation, stage_profile)
+        return design, simulator, lambda: {
+            "spec": control.canonical(),
+            "journal": loop.journal.to_dicts(),
+            "summary": control_summary(loop.journal),
+        }
 
-    prep = PreparedRun(simulator=simulator, package=package)
-    prep.control_journal = loop.journal
-    return prep
-
-
-def execute_control(
-    runner: ExperimentRunner,
-    spec,
-    observation=None,
-    stage_profile=None,
-) -> RunResult:
-    """Run one online cell (the ``execute_spec`` hook for control cells)."""
-    prep = prepare_control(runner, spec, observation, stage_profile)
-    if prep.result is not None:
-        return prep.result
-    return prep.finish(prep.simulator.run())
+    return runner.cell(spec, spec, spec.workload, build, observation,
+                       cacheable=cacheable, journaled=True)
 
 
 def control_summary(journal: DecisionJournal) -> dict:
@@ -300,24 +257,16 @@ def run_closed_loop(
     topology: Optional[str] = None,
 ) -> ControlRunResult:
     """Run (or warm-load) one closed-loop cell on a runner."""
-    spec = control_spec(
+    result = runner.prepare(control_spec(
         workload, style=style, width=width, seed=seed,
         access_points=access_points, control=control, faults=faults,
         topology=topology,
-    )
-    from repro.exec import normalize_spec
-
-    spec = normalize_spec(spec, runner.config)
-    prep = prepare_control(runner, spec)
-    if prep.result is not None:
-        result = prep.result
-    else:
-        result = prep.finish(prep.simulator.run())
+    )).run()
     return ControlRunResult(
         result=result,
-        journal=prep.control_journal,
-        control=ControlConfig.from_spec(dict(spec.extra)["control"]),
-        digest=runner._digest_for(spec),
+        journal=DecisionJournal.from_dicts(result.control["journal"]),
+        control=ControlConfig.from_spec(result.control["spec"]),
+        digest=result.provenance,
     )
 
 

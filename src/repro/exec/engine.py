@@ -114,41 +114,11 @@ def execute_spec(
 ) -> "RunResult":
     """Run one spec on a runner (the runner consults its own store, if any).
 
-    An ``observation`` attaches metrics/tracing and forces a fresh,
-    uncached run (see :meth:`ExperimentRunner.run_unicast`).  A
-    ``stage_profile`` (:class:`~repro.obs.profile.StageProfile`) makes the
-    kernel account wall time per pipeline stage; it only accumulates when
-    the spec actually simulates (memo/store hits leave it untouched).
+    The engine's stub seam over :meth:`ExperimentRunner.prepare
+    <repro.experiments.runner.ExperimentRunner.prepare>` — the one spec →
+    cell path, which documents ``observation`` and ``stage_profile``.
     """
-    if spec.kind == "unicast":
-        if dict(spec.extra).get("control") is not None:
-            from repro.control.run import execute_control
-
-            return execute_control(runner, spec, observation, stage_profile)
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.run_unicast(design, spec.workload, seed=spec.seed,
-                                  observation=observation,
-                                  faults=dict(spec.extra).get("faults"),
-                                  stage_profile=stage_profile)
-    if spec.kind == "multicast":
-        design = runner.design(
-            spec.style, spec.link_bytes,
-            workload=spec.design_workload,
-            num_access_points=spec.num_access_points,
-            adaptive_routing=spec.adaptive_routing,
-            topology=dict(spec.extra).get("topology"),
-        )
-        return runner.run_multicast(
-            design, spec.realization, spec.locality_percent,
-            observation=observation, stage_profile=stage_profile,
-        )
-    raise ValueError(f"cannot execute job kind {spec.kind!r}")
+    return runner.prepare(spec, observation, stage_profile).run()
 
 
 _WORKER_RUNNER: Optional["ExperimentRunner"] = None
@@ -162,35 +132,33 @@ def _init_worker(config: ExperimentConfig, params: ArchitectureParams) -> None:
     _WORKER_RUNNER = ExperimentRunner(config, params)
 
 
-def _trace_observation(trace_path):
-    """A metrics+tracer observation for one traced job, or None."""
-    if trace_path is None:
-        return None
-    from repro.obs import EventTracer, MetricsRegistry, Observation
-
-    return Observation(metrics=MetricsRegistry(), tracer=EventTracer())
-
-
 def _run_job(
     spec: JobSpec, trace_path=None, stage_profile: bool = False,
+    runner: Optional["ExperimentRunner"] = None,
 ) -> tuple[dict, float, int, dict]:
-    """Worker-side: simulate one spec; ship the payload back picklable.
+    """Simulate one spec; ship the payload back picklable.
 
-    When ``trace_path`` is given the job runs observed (fresh, with
-    metrics and the event tracer) and writes its JSONL trace before
-    returning — the events stay worker-side; only the path crosses back.
+    The one per-job recipe: the serial sweep passes its ``runner``, pool
+    workers default to their process's long-lived one.  When
+    ``trace_path`` is given the job runs observed (fresh, with metrics and
+    the event tracer) and writes its JSONL trace before returning — the
+    events stay worker-side; only the path crosses back.
     ``stage_profile`` adds per-pipeline-stage kernel timing to the job's
     phase profile (``stage_*_s`` keys).
     """
     from repro.obs.profile import StageProfile
 
     prof = Profiler()
-    observation = _trace_observation(trace_path)
+    observation = None
+    if trace_path is not None:
+        from repro.obs import EventTracer, MetricsRegistry, Observation
+
+        observation = Observation(metrics=MetricsRegistry(),
+                                  tracer=EventTracer())
     sp = StageProfile() if stage_profile else None
     start = time.perf_counter()
     with prof.phase("simulate"):
-        result = execute_spec(_WORKER_RUNNER, spec, observation,
-                              stage_profile=sp)
+        result = execute_spec(runner or _WORKER_RUNNER, spec, observation, sp)
     with prof.phase("encode"):
         payload = encode_result(result)
     if observation is not None:
@@ -361,44 +329,21 @@ def run_sweep(
 def _sweep_serial(specs, pending, finish, emit, config, params,
                   retries, trace_paths, stage_profile=False) -> None:
     from repro.experiments.runner import ExperimentRunner
-    from repro.obs.profile import StageProfile
 
     runner = ExperimentRunner(config, params)
     for i in pending:
         attempts = 0
         while True:
             attempts += 1
-            prof = Profiler()
-            observation = _trace_observation(trace_paths[i])
-            sp = StageProfile() if stage_profile else None
-            start = time.perf_counter()
             try:
-                with prof.phase("simulate"):
-                    # Extend the call only for the features actually on, so
-                    # tests (and any wrapper) can stub execute_spec with the
-                    # historical narrower signatures.
-                    if observation is None and sp is None:
-                        result = execute_spec(runner, specs[i])
-                    elif sp is None:
-                        result = execute_spec(runner, specs[i], observation)
-                    else:
-                        result = execute_spec(runner, specs[i], observation,
-                                              stage_profile=sp)
+                payload, wall, cycles, profile = _run_job(
+                    specs[i], trace_paths[i], stage_profile, runner)
             except Exception:
                 if attempts > retries:
                     raise
                 emit("retry", i, attempts=attempts)
                 continue
-            with prof.phase("encode"):
-                payload = encode_result(result)
-            if observation is not None:
-                with prof.phase("trace_write"):
-                    observation.tracer.write_jsonl(trace_paths[i])
-            wall = time.perf_counter() - start
-            if sp is not None and sp.cycles:
-                prof.merge(sp.as_dict())
-            finish(i, payload, wall, result.stats.activity.cycles,
-                   attempts, prof.as_dict())
+            finish(i, payload, wall, cycles, attempts, profile)
             break
 
 

@@ -108,9 +108,10 @@ def decode_stats(payload: dict) -> NetworkStats:
 def encode_result(result: RunResult) -> dict:
     """A RunResult as a JSON-safe payload dict.
 
-    ``metrics`` (a registry snapshot) and ``provenance`` ride along when
-    present; entries written before these fields existed decode fine (the
-    decoder treats them as absent).
+    ``metrics`` (a registry snapshot), ``provenance`` and ``control`` (an
+    online cell's decision journal) ride along when present; entries
+    written before these fields existed decode fine (the decoder treats
+    them as absent), and offline payloads never carry a ``control`` key.
     """
     payload = {
         "design": result.design,
@@ -127,6 +128,8 @@ def encode_result(result: RunResult) -> dict:
         payload["metrics"] = result.metrics
     if result.provenance is not None:
         payload["provenance"] = result.provenance
+    if result.control is not None:
+        payload["control"] = result.control
     return payload
 
 
@@ -147,4 +150,5 @@ def decode_result(payload: dict) -> RunResult:
         ),
         metrics=payload.get("metrics"),
         provenance=payload.get("provenance"),
+        control=payload.get("control"),
     )

@@ -5,14 +5,19 @@ Fig 8's grid; Fig 10 replots both), so results are memoized on
 (design, workload, realization) — one simulation feeds every figure that
 needs it.
 
-Memoization is two-level.  In memory, results are keyed on the full design
-cache key (style, link width, profile workload, access points, adaptive
-routing) so two designs that happen to share a name can never alias.  When
-the runner is given a :class:`~repro.exec.store.ResultStore`, every cell
-that is addressable as a :class:`~repro.exec.jobs.JobSpec` is also looked
-up in — and written back to — the persistent on-disk cache, so repeated
-harness invocations (and parallel sweeps; see :mod:`repro.exec.engine`)
-never re-simulate a cell whose inputs have not changed.
+Memoization is two-level.  In memory, results are keyed on the cell's
+normalized :class:`~repro.exec.jobs.JobSpec` (hand-built designs key on
+object identity) so two designs that happen to share a name can never
+alias.  When the runner is given a
+:class:`~repro.exec.store.ResultStore`, every cell that is addressable as
+a spec is also looked up in — and written back to — the persistent on-disk
+cache, so repeated harness invocations (and parallel sweeps; see
+:mod:`repro.exec.engine`) never re-simulate a cell whose inputs have not
+changed.
+
+How a spec becomes a simulator, a :class:`RunResult` and the payload stored
+at its digest is decided in one place — :meth:`ExperimentRunner.prepare`
+over the :meth:`ExperimentRunner.cell` skeleton — for every surface.
 """
 
 from __future__ import annotations
@@ -56,9 +61,10 @@ class PreparedRun:
 
     Either ``result`` is already set (memo or store hit — nothing to
     simulate) or ``simulator`` holds the ready cell and :meth:`finish`
-    packages its statistics into a :class:`RunResult` (applying the same
-    store/memo writes the monolithic ``run_*`` path performs).  A caller
-    that wants to drive the cell in slices uses :meth:`Simulator.start`.
+    packages its statistics into a :class:`RunResult` (counting the run
+    and writing the memo and the store).  :meth:`run` is both in one
+    call; a caller that wants to drive the cell in slices uses
+    :meth:`Simulator.start` and hands the statistics to :meth:`finish`.
     """
 
     result: Optional[RunResult] = None
@@ -68,6 +74,15 @@ class PreparedRun:
     def finish(self, stats: NetworkStats) -> RunResult:
         """Package the finished simulation's statistics."""
         return self.package(stats)
+
+    def run(self) -> RunResult:
+        """The cell's result, simulating first unless it was a hit.
+
+        Idempotent: the result is kept, so a second call simulates nothing.
+        """
+        if self.result is None:
+            self.result = self.finish(self.simulator.run())
+        return self.result
 
 
 class ExperimentRunner:
@@ -261,7 +276,9 @@ class ExperimentRunner:
         schedule = as_schedule(faults)
         if schedule is None:
             return design
-        key = (self._design_key(design), schedule.canonical())
+        # Hand-built designs key on identity (never shared, never aliased).
+        key = (self._design_keys.get(id(design), id(design)),
+               schedule.canonical())
         if key not in self._degraded:
             self._degraded[key] = degraded_design(design, schedule)
         return self._degraded[key]
@@ -286,18 +303,6 @@ class ExperimentRunner:
 
     # -- job addressing and the persistent store -----------------------------
 
-    def _design_key(self, design: DesignPoint) -> tuple:
-        """Collision-proof cache key for a design.
-
-        Designs built by :meth:`design` key on their full construction
-        parameters; hand-built designs key on object identity (never
-        shared, so never aliased — but also never persisted).
-        """
-        key = self._design_keys.get(id(design))
-        if key is not None:
-            return key
-        return ("anon", design.name, id(design))
-
     def spec_for(
         self,
         design: DesignPoint,
@@ -307,7 +312,13 @@ class ExperimentRunner:
         seed: Optional[int] = None,
         **fields,
     ) -> Optional["JobSpec"]:
-        """The JobSpec addressing a cell, or None for hand-built designs."""
+        """The JobSpec addressing a cell, or None for hand-built designs.
+
+        The adapter for callers that hold a design object (figures,
+        ablations, ``prepare_unicast`` / ``prepare_multicast``); a caller
+        that holds a spec hands it to :meth:`prepare` and is addressed by
+        exactly that spec.
+        """
         key = self._design_keys.get(id(design))
         if key is None:
             return None
@@ -353,6 +364,116 @@ class ExperimentRunner:
             self._digest_for(spec), payload, meta={"spec": jsonable(spec)},
         )
 
+    # -- the cell pipeline ----------------------------------------------------
+
+    def prepare(
+        self,
+        spec: "JobSpec",
+        observation: Optional["Observation"] = None,
+        stage_profile: Optional["StageProfile"] = None,
+    ) -> PreparedRun:
+        """Build the cell a spec addresses — the only spec → cell path.
+
+        The spec is normalized, dispatched on its kind (a ``("control",
+        ...)`` extra makes a unicast cell an online one), its design is
+        built once, and the cell is addressed **by the spec it was
+        handed**: the result's provenance is that spec's job digest by
+        construction.  Memo and store hits come back as an immediate
+        ``result``; a miss returns the ready :class:`Simulator`.  An
+        ``observation`` attaches metrics/tracing and forces a fresh run
+        that touches neither memo nor store; a ``stage_profile`` times the
+        kernel per pipeline stage (only when the cell actually simulates).
+        """
+        from repro.exec import normalize_spec
+
+        spec = normalize_spec(spec, self.config)
+        extra = dict(spec.extra)
+        if spec.kind == "unicast" and extra.get("control") is not None:
+            from repro.control.run import prepare_control
+
+            return prepare_control(self, spec, observation, stage_profile)
+        if spec.kind not in ("unicast", "multicast"):
+            raise ValueError(f"cannot execute job kind {spec.kind!r}")
+        design = self.design(
+            spec.style, spec.link_bytes, workload=spec.design_workload,
+            num_access_points=spec.num_access_points,
+            adaptive_routing=spec.adaptive_routing,
+            topology=extra.get("topology"),
+        )
+        if spec.kind == "multicast":
+            return self._multicast_cell(
+                spec, design, spec.realization, spec.locality_percent,
+                observation, stage_profile,
+            )
+        return self._unicast_cell(
+            spec, design, spec.workload, spec.seed, extra.get("faults"),
+            observation, stage_profile,
+        )
+
+    def cell(
+        self,
+        key,
+        spec: Optional["JobSpec"],
+        label: str,
+        build: Callable[[], tuple],
+        observation: Optional["Observation"],
+        *,
+        cacheable: bool,
+        journaled: bool = False,
+    ) -> PreparedRun:
+        """The one cell skeleton: memo → store → ``build()`` → package.
+
+        ``key`` is the memo key (the normalized spec, or an identity tuple
+        for a hand-built design, whose ``spec`` is None and which is never
+        persisted); ``label`` the workload name the result reports.
+        ``build()`` runs only on a miss and returns ``(design, simulator,
+        control)`` — ``control`` is None, or a callable giving an online
+        cell's :attr:`RunResult.control` once the run has finished.  The
+        returned ``package`` counts the run, packages the statistics and —
+        for a ``cacheable`` cell — memoizes the result and saves its
+        :func:`~repro.exec.serialize.encode_result` payload at the spec's
+        digest: the same payload whichever surface computed the cell.
+        A ``journaled`` (online) cell treats an entry without a journal
+        (written before the journal rode in the result) as a miss.
+        """
+        from repro.exec import decode_result, encode_result
+
+        if cacheable:
+            result = self._results.get(key)
+            if result is None:
+                payload = self._store_load(spec)
+                if payload is not None:
+                    result = decode_result(payload)
+                    if result.provenance is None:   # predates provenance
+                        result = result.with_provenance(self._digest_for(spec))
+            if result is not None and not (journaled and result.control is None):
+                self._results[key] = result
+                return PreparedRun(result=result)
+        design, simulator, control = build()
+
+        def package(stats: NetworkStats) -> RunResult:
+            self.simulations_run += 1
+            result = RunResult(
+                design=design.name,
+                workload=label,
+                avg_latency=stats.avg_packet_latency,
+                avg_flit_latency=stats.avg_flit_latency,
+                power=self.power_model.power(design, stats),
+                area=self.power_model.area(design),
+                stats=stats,
+                metrics=(
+                    observation.snapshot() if observation is not None else None
+                ),
+                provenance=self._digest_for(spec),
+                control=control() if control is not None else None,
+            )
+            if cacheable:
+                self._store_save(spec, encode_result(result))
+                self._results[key] = result
+            return result
+
+        return PreparedRun(simulator=simulator, package=package)
+
     # -- running ------------------------------------------------------------------
 
     def run_unicast(
@@ -375,13 +496,10 @@ class ExperimentRunner:
         into the memo key and store digest, so zero-fault cells keep their
         historical addresses and faulted cells get their own.
         """
-        prep = self.prepare_unicast(
+        return self.prepare_unicast(
             design, workload, seed=seed, observation=observation,
             faults=faults, stage_profile=stage_profile,
-        )
-        if prep.result is not None:
-            return prep.result
-        return prep.finish(prep.simulator.run())
+        ).run()
 
     def prepare_unicast(
         self,
@@ -394,54 +512,38 @@ class ExperimentRunner:
     ) -> PreparedRun:
         """Build a unicast cell without running it (see :class:`PreparedRun`).
 
-        Same caching contract as :meth:`run_unicast` — memo and store hits
-        come back as an immediate ``result``; a miss returns the ready
-        :class:`Simulator`, and :meth:`PreparedRun.finish` applies the
-        packaging and cache writes the monolithic path performs.
+        Same caching contract as :meth:`prepare`, for a caller that holds
+        the design object: the cell is addressed through :meth:`spec_for`.
         """
         from repro.faults import as_schedule
 
         schedule = as_schedule(faults)
-        resolved_seed = self.config.traffic_seed if seed is None else seed
-        if schedule is None:
-            spec = self.spec_for(design, workload, seed=resolved_seed)
-            key = ("unicast", self._design_key(design), workload,
-                   resolved_seed)
-        else:
-            spec = self.spec_for(
-                design, workload, seed=resolved_seed,
-                extra=(("faults", schedule.canonical()),),
-            )
-            key = ("unicast", self._design_key(design), workload,
-                   resolved_seed, schedule.canonical())
-            design = self.degraded(design, schedule)
-        if observation is None and key in self._results:
-            return PreparedRun(result=self._results[key])
-        from repro.exec import encode_result
-
-        payload = None if observation is not None else self._store_load(spec)
-        if payload is not None:
-            result = self._restore(payload, spec)
-            if observation is None:
-                self._results[key] = result
-            return PreparedRun(result=result)
-        simulator = Simulator(
-            design.new_network(),
-            [self._unicast_source(workload, resolved_seed, design.topology)],
-            self.config.sim, observation=observation,
-            stage_profile=stage_profile,
+        seed = self.config.traffic_seed if seed is None else seed
+        spec = self.spec_for(
+            design, workload, seed=seed,
+            extra=(("faults", schedule.canonical()),) if schedule else (),
         )
+        return self._unicast_cell(spec, design, workload, seed, schedule,
+                                  observation, stage_profile)
 
-        def package(stats: NetworkStats) -> RunResult:
-            self.simulations_run += 1
-            result = self._package(design, workload, stats,
-                                   spec=spec, observation=observation)
-            if observation is None:
-                self._store_save(spec, encode_result(result))
-                self._results[key] = result
-            return result
+    def _unicast_cell(self, spec, design, workload, seed, faults,
+                      observation, stage_profile) -> PreparedRun:
+        # Only a hand-built design has no spec, and it arrives through
+        # prepare_unicast, where ``faults`` is already a schedule (or None).
+        key = spec or ("unicast", id(design), workload, seed,
+                       faults and faults.canonical())
 
-        return PreparedRun(simulator=simulator, package=package)
+        def build():
+            point = self.degraded(design, faults)
+            return point, Simulator(
+                point.new_network(),
+                [self._unicast_source(workload, seed, point.topology)],
+                self.config.sim, observation=observation,
+                stage_profile=stage_profile,
+            ), None
+
+        return self.cell(key, spec, workload, build, observation,
+                         cacheable=observation is None)
 
     def run_multicast(
         self,
@@ -456,13 +558,10 @@ class ExperimentRunner:
         ``realization_style``: 'unicast', 'vct', or 'rf'.  An
         ``observation`` forces a fresh run with metrics/tracing attached.
         """
-        prep = self.prepare_multicast(
+        return self.prepare_multicast(
             design, realization_style, locality_percent,
             observation=observation, stage_profile=stage_profile,
-        )
-        if prep.result is not None:
-            return prep.result
-        return prep.finish(prep.simulator.run())
+        ).run()
 
     def prepare_multicast(
         self,
@@ -474,54 +573,44 @@ class ExperimentRunner:
     ) -> PreparedRun:
         """Build a multicast cell without running it (see
         :meth:`prepare_unicast` for the contract)."""
-        key = ("mc", self._design_key(design), realization_style,
-               locality_percent)
-        if observation is None and key in self._results:
-            return PreparedRun(result=self._results[key])
-        from repro.exec import encode_result
-
         spec = self.spec_for(
             design, f"multicast-{locality_percent}", kind="multicast",
             realization=realization_style, locality_percent=locality_percent,
         )
-        payload = None if observation is not None else self._store_load(spec)
-        if payload is not None:
-            result = self._restore(payload, spec)
-            self._results[key] = result
-            return PreparedRun(result=result)
-        network = design.new_network()
-        if realization_style == "unicast":
-            realization = UnicastExpansion(network)
-        elif realization_style == "vct":
-            realization = VCTRealization(network)
-        elif realization_style == "rf":
-            receivers = self._rf_receivers(design)
-            realization = RFRealization(
-                network, receivers,
-                epoch_cycles=self.config.multicast_epoch_cycles,
-            )
-        else:
-            raise ValueError(f"unknown realization {realization_style!r}")
-        source = MulticastAwareSource(
-            self._multicast_workload(locality_percent, design.topology),
-            realization,
-        )
-        simulator = Simulator(network, [source], self.config.sim,
-                              observation=observation,
-                              stage_profile=stage_profile)
+        return self._multicast_cell(spec, design, realization_style,
+                                    locality_percent, observation,
+                                    stage_profile)
 
-        def package(stats: NetworkStats) -> RunResult:
-            self.simulations_run += 1
-            result = self._package(
-                design, f"multicast-{locality_percent}", stats,
-                spec=spec, observation=observation,
-            )
-            if observation is None:
-                self._store_save(spec, encode_result(result))
-                self._results[key] = result
-            return result
+    def _multicast_cell(self, spec, design, realization_style,
+                        locality_percent, observation,
+                        stage_profile) -> PreparedRun:
+        key = spec or ("mc", id(design), realization_style, locality_percent)
 
-        return PreparedRun(simulator=simulator, package=package)
+        def build():
+            network = design.new_network()
+            if realization_style == "unicast":
+                realization = UnicastExpansion(network)
+            elif realization_style == "vct":
+                realization = VCTRealization(network)
+            elif realization_style == "rf":
+                realization = RFRealization(
+                    network, self._rf_receivers(design),
+                    epoch_cycles=self.config.multicast_epoch_cycles,
+                )
+            else:
+                raise ValueError(
+                    f"unknown realization {realization_style!r}")
+            source = MulticastAwareSource(
+                self._multicast_workload(locality_percent, design.topology),
+                realization,
+            )
+            return design, Simulator(
+                network, [source], self.config.sim,
+                observation=observation, stage_profile=stage_profile,
+            ), None
+
+        return self.cell(key, spec, f"multicast-{locality_percent}", build,
+                         observation, cacheable=observation is None)
 
     def probe_unicast(
         self,
@@ -590,32 +679,3 @@ class ExperimentRunner:
         if design.overlay is None or design.overlay.multicast_band is None:
             raise ValueError(f"{design.name} has no multicast band configured")
         return list(design.overlay.multicast_receivers)
-
-    def _package(
-        self,
-        design: DesignPoint,
-        workload: str,
-        stats: NetworkStats,
-        spec: Optional["JobSpec"] = None,
-        observation: Optional["Observation"] = None,
-    ) -> RunResult:
-        return RunResult(
-            design=design.name,
-            workload=workload,
-            avg_latency=stats.avg_packet_latency,
-            avg_flit_latency=stats.avg_flit_latency,
-            power=self.power_model.power(design, stats),
-            area=self.power_model.area(design),
-            stats=stats,
-            metrics=observation.snapshot() if observation is not None else None,
-            provenance=self._digest_for(spec),
-        )
-
-    def _restore(self, payload: dict, spec: Optional["JobSpec"]) -> RunResult:
-        """Decode a cached payload, back-filling provenance if it predates it."""
-        from repro.exec import decode_result
-
-        result = decode_result(payload)
-        if result.provenance is None and spec is not None:
-            result = result.with_provenance(self._digest_for(spec))
-        return result

@@ -26,7 +26,7 @@ from repro.noc.routing import (
     EJECT, DisconnectedMeshError, RoutingPolicy, RoutingTables, Shortcut,
     xy_port,
 )
-from repro.noc.simulator import Simulator, simulate
+from repro.noc.simulator import Simulator
 from repro.noc.stats import ActivityCounts, NetworkStats
 from repro.noc.topology import (
     DEFAULT_TOPOLOGY, TOPOLOGIES, TOPOLOGY_CAPABILITIES,
@@ -78,7 +78,6 @@ __all__ = [
     "register",
     "resolve_kernel",
     "resolve_topology",
-    "simulate",
     "topology_capabilities",
     "unregister",
     "xy_port",

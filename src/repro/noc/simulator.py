@@ -11,9 +11,12 @@ report their delivery ratio honestly).
 Observability: pass an :class:`~repro.obs.Observation` (or set
 ``SimulationParams.trace_events``) and the driver attaches it to the
 network for the run — metrics and cycle-level events then mirror the
-statistics the window records.  :meth:`Simulator.run` keeps its historical
-:class:`NetworkStats` return shape; :meth:`Simulator.run_result` wraps the
-same run in the unified :class:`~repro.obs.result.RunResult`.
+statistics the window records.  :meth:`Simulator.run` returns the bare
+:class:`NetworkStats`; packaging them into the unified
+:class:`~repro.obs.result.RunResult` (power, area, provenance) is the
+job of :meth:`ExperimentRunner.prepare
+<repro.experiments.runner.ExperimentRunner.prepare>`, which owns the design
+point and the cell's address.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from repro.params import SimulationParams
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observation
     from repro.obs.profile import StageProfile
-    from repro.obs.result import RunResult
 
 
 class TrafficSource(Protocol):
@@ -82,46 +84,11 @@ class Simulator:
         return SimulatorDrive(self)
 
     def run(self) -> NetworkStats:
-        """Execute warm-up, measurement, and drain; return the statistics.
-
-        (Legacy shape — :meth:`run_result` returns the unified
-        :class:`~repro.obs.result.RunResult` instead.)
-        """
+        """Execute warm-up, measurement, and drain; return the statistics."""
         drive = self.start()
         while not drive.done:
             drive.advance(1 << 30)
         return drive.finish()
-
-    def run_result(
-        self,
-        *,
-        design: str = "custom",
-        workload: str = "custom",
-    ) -> "RunResult":
-        """Run and return the unified result type.
-
-        No design point is available at this level, so ``power``/``area``
-        are None; the provenance digest covers the simulation windows and
-        the network's architecture parameters.
-        """
-        from repro.obs.result import RunResult, provenance_digest
-
-        stats = self.run()
-        obs = self.observation
-        return RunResult(
-            design=design,
-            workload=workload,
-            avg_latency=stats.avg_packet_latency,
-            avg_flit_latency=stats.avg_flit_latency,
-            stats=stats,
-            metrics=obs.snapshot() if obs is not None else None,
-            provenance=provenance_digest(
-                sim=self.sim,
-                params=self.network.params,
-                design=design,
-                workload=workload,
-            ),
-        )
 
 
 #: SimulatorDrive phases, in execution order.
@@ -242,17 +209,3 @@ class SimulatorDrive:
                     sim.observation.on_drop(uid, net.cycle)
                 sim.observation.finalize(net, self._stats)
         return self._stats
-
-
-def simulate(
-    network: Network,
-    sources: list[TrafficSource],
-    sim: Optional[SimulationParams] = None,
-) -> NetworkStats:
-    """Convenience wrapper: build a :class:`Simulator` and run it.
-
-    Deprecated shim — prefer :func:`repro.api.simulate`, which returns the
-    unified :class:`~repro.obs.result.RunResult`; this function keeps the
-    historical bare-:class:`NetworkStats` shape.
-    """
-    return Simulator(network, sources, sim).run()

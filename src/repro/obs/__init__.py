@@ -27,7 +27,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.observe import Observation, port_name
 from repro.obs.profile import Profiler, StageProfile
-from repro.obs.result import RunResult, provenance_digest
+from repro.obs.result import RunResult
 from repro.obs.trace import (
     EVENT_KINDS, EVENT_SCHEMA, EventTracer, TraceEvent, read_jsonl,
     validate_event,
@@ -48,7 +48,6 @@ __all__ = [
     "TraceEvent",
     "label_key",
     "port_name",
-    "provenance_digest",
     "read_jsonl",
     "validate_event",
 ]

@@ -4,7 +4,7 @@ A :class:`Profiler` accumulates named wall-clock phases::
 
     prof = Profiler()
     with prof.phase("simulate"):
-        result = execute_spec(runner, spec)
+        result = runner.prepare(spec).run()
     with prof.phase("encode"):
         payload = encode_result(result)
     prof.as_dict()  # {"simulate_s": 1.93, "encode_s": 0.004, ...}

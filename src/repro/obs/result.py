@@ -1,22 +1,20 @@
 """The unified run result: one shape for every entrypoint.
 
-Historically the three entrypoints returned differently-shaped objects —
-``Simulator.run`` a bare :class:`~repro.noc.stats.NetworkStats`,
-``ExperimentRunner.run_unicast``/``run_multicast`` a runner-local result,
-and ``run_sweep`` engine outcomes.  :class:`RunResult` is now the single
-currency: stats + activity + an optional metrics snapshot + a provenance
-digest identifying exactly which inputs produced it.  The legacy shapes
-remain as deprecation shims (``Simulator.run`` still returns stats;
-``repro.experiments.runner.RunResult`` re-exports this class).
+:class:`RunResult` is the single currency of ``ExperimentRunner`` cells,
+``run_sweep``, the serve tier and the ``repro.api`` facade: stats +
+activity + an optional metrics snapshot + an online cell's decision
+journal + a provenance digest identifying exactly which inputs produced it
+(the cell's :func:`~repro.exec.jobs.job_digest` — its store address).
+``Simulator.run`` returns the bare :class:`~repro.noc.stats.NetworkStats`
+a result is packaged from; ``repro.experiments.runner.RunResult``
+re-exports this class.
 
-``power``/``area`` are optional because a bare :class:`Simulator` has no
-design point to cost; runner- and sweep-produced results always carry them.
+``power``/``area`` are optional so a result can be built without a design
+point to cost; runner- and sweep-produced results always carry them.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -24,30 +22,6 @@ from repro.noc.stats import NetworkStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.power import AreaReport, PowerReport
-
-
-def provenance_digest(**components) -> str:
-    """Stable SHA-256 digest over named run inputs.
-
-    Canonical JSON (sorted keys) over JSON-safe-ified components — the same
-    construction :func:`repro.exec.jobs.job_digest` uses, so a result's
-    provenance changes whenever any input that could change it changes.
-
-    The simulation *kernel* field (``SimulationParams.kernel``) is
-    stripped wherever it appears: kernels are bit-identical by contract,
-    so the same run under either kernel keeps the same provenance.
-    """
-    from repro.experiments.export import jsonable
-
-    rendered = {name: jsonable(value) for name, value in components.items()}
-    for holder in rendered.values():
-        if isinstance(holder, dict):
-            holder.pop("kernel", None)
-            sim = holder.get("simulation")
-            if isinstance(sim, dict):
-                sim.pop("kernel", None)
-    text = json.dumps(rendered, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -64,9 +38,12 @@ class RunResult:
     #: JSON-safe :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`, when
     #: the run was observed; None otherwise.
     metrics: Optional[dict] = field(default=None, compare=False)
-    #: Content digest of the inputs that produced this result, when the run
-    #: was addressable (job digest) or observed (provenance digest).
+    #: The cell's job digest (its store address), when the run was
+    #: addressable as a :class:`~repro.exec.jobs.JobSpec`.
     provenance: Optional[str] = None
+    #: Online (closed-loop) cells only: the canonical control ``spec``, the
+    #: decision ``journal`` (record dicts) and its ``summary`` roll-up.
+    control: Optional[dict] = field(default=None, compare=False)
 
     @property
     def total_power_w(self) -> float:

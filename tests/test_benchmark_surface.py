@@ -1,16 +1,23 @@
-"""The frozen benchmark's import surface, checked in the unit run.
+"""The frozen benchmark's import and call surface, checked in the unit run.
 
 ``benchmarks/e2e`` may not change (see ``BENCHMARK.json``), so every
 ``from repro... import name`` it spells must keep resolving from the same
-module.  A refactor that breaks one fails here, in under a second, instead
+module, and every method it drives must keep accepting the call shape it
+uses.  A refactor that breaks one fails here, in under a second, instead
 of at benchmark time.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from repro.exec import run_sweep
+from repro.experiments import FAST_CONFIG, ExperimentRunner
+from repro.experiments.runner import PreparedRun
+from repro.noc.simulator import Simulator, SimulatorDrive
 
 E2E = Path(__file__).resolve().parent.parent / "benchmarks" / "e2e"
 
@@ -44,3 +51,45 @@ def test_benchmark_import_resolves(module, name):
     imported = importlib.import_module(module)
     if name is not None:
         assert hasattr(imported, name), f"{module} lost {name!r}"
+
+
+# The call shapes benchmarks/e2e/wl_*.py spell, one row per distinct shape
+# (``None`` stands in for ``self`` and for argument values).
+CALLS = [
+    (ExperimentRunner.design, (None, "static", 16), {"topology": None}),
+    (ExperimentRunner.design, (None, "adaptive+mc", 16),
+     {"workload": "uniform"}),
+    (ExperimentRunner.design, (None, "static", 16),
+     {"workload": None, "num_access_points": 50,
+      "adaptive_routing": False}),
+    (ExperimentRunner.pattern, (None, "uniform"), {}),
+    (ExperimentRunner.rate, (None, "uniform"), {}),
+    (ExperimentRunner.profile, (None, "uniform"), {}),
+    (ExperimentRunner.prepare_unicast, (None, None, "uniform"),
+     {"stage_profile": None, "faults": "band:3"}),
+    (ExperimentRunner.prepare_unicast, (None, None, "uniform"), {"seed": 1}),
+    (ExperimentRunner.prepare_multicast, (None, None, "vct", 20),
+     {"stage_profile": None}),
+    (PreparedRun.finish, (None, None), {}),
+    (Simulator.start, (None,), {}),
+    (Simulator.run, (None,), {}),
+    (SimulatorDrive.advance, (None, 256), {}),
+    (SimulatorDrive.finish, (None,), {}),
+    (run_sweep, ([],), {"config": None, "store": None, "jobs": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "func,args,kwargs", CALLS,
+    ids=[f"{i}:{row[0].__qualname__}" for i, row in enumerate(CALLS)])
+def test_benchmark_call_shape_binds(func, args, kwargs):
+    inspect.signature(func).bind(*args, **kwargs)
+
+
+def test_benchmark_attribute_surface():
+    runner = ExperimentRunner(FAST_CONFIG)
+    for name in ("topology", "config", "params", "power_model"):
+        assert hasattr(runner, name), f"ExperimentRunner lost {name!r}"
+    assert {"result", "simulator"} <= {
+        f.name for f in PreparedRun.__dataclass_fields__.values()}
+    assert isinstance(SimulatorDrive.done, property)

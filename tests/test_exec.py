@@ -324,11 +324,11 @@ class TestSweep:
         real = engine_module.execute_spec
         failures = {"left": 1}
 
-        def flaky(runner, spec):
+        def flaky(runner, spec, observation=None, stage_profile=None):
             if failures["left"]:
                 failures["left"] -= 1
                 raise RuntimeError("transient")
-            return real(runner, spec)
+            return real(runner, spec, observation, stage_profile)
 
         monkeypatch.setattr(engine_module, "execute_spec", flaky)
         report = run_sweep(GRID[:1], config=CONFIG, params=PARAMS,
@@ -337,7 +337,7 @@ class TestSweep:
         assert report.outcomes[0].result.avg_latency > 0
 
     def test_persistent_failure_raises(self, monkeypatch, store):
-        def broken(runner, spec):
+        def broken(runner, spec, observation=None, stage_profile=None):
             raise RuntimeError("permanent")
 
         monkeypatch.setattr(engine_module, "execute_spec", broken)

@@ -28,7 +28,7 @@ import repro
 from repro.campaign import CampaignError, spec_from_dict
 from repro.cli import main
 from repro.control import run_closed_loop
-from repro.control.run import control_spec, prepare_control
+from repro.control.run import control_spec
 from repro.exec.jobs import job_digest, sweep_grid
 from repro.experiments import FAST_CONFIG, ExperimentRunner
 from repro.noc import (
@@ -178,8 +178,7 @@ def test_control_retune_digests_identical():
 def _prepared_simulator(kernel: str, cell: str):
     """A fresh, unrun simulator for one slice-invariance cell."""
     if cell == "control":
-        return prepare_control(
-            _control_runner(kernel),
+        return _control_runner(kernel).prepare(
             control_spec(CONTROL_WORKLOAD, control=CONTROL_SPEC),
         ).simulator
     runner = _fresh_runner(kernel)

@@ -1,17 +1,14 @@
 """Tests for the observability layer: metrics, tracing, observation."""
 
-import math
-
 import pytest
 
 from repro.experiments import FAST_CONFIG, ExperimentRunner
 from repro.noc import MeshTopology, Simulator
-from repro.noc.simulator import simulate as legacy_simulate
 from repro.obs import (
     EventTracer, MetricsRegistry, Observation, read_jsonl, validate_event,
 )
 from repro.obs.metrics import Counter, Histogram, label_key
-from repro.obs.result import RunResult, provenance_digest
+from repro.obs.result import RunResult
 from repro.params import DEFAULT_PARAMS, SimulationParams
 from repro.traffic import ProbabilisticTraffic
 
@@ -257,44 +254,8 @@ class TestSimulatorShims:
         assert s1.sim == SimulationParams()
         assert s1.sim is not s2.sim
 
-    def test_legacy_simulate_matches_run(self):
-        runner = ExperimentRunner(FAST_CONFIG)
-        design = runner.design("baseline", 16)
-
-        def source():
-            return ProbabilisticTraffic(
-                runner.topology, runner.patterns["uniform"], 0.015, seed=9
-            )
-
-        old = legacy_simulate(design.new_network(), [source()], SIM)
-        new = Simulator(design.new_network(), [source()], SIM).run()
-        assert old.avg_packet_latency == new.avg_packet_latency
-        assert old.activity == new.activity
-
-    def test_run_result_wraps_same_stats(self):
-        runner = ExperimentRunner(FAST_CONFIG)
-        design = runner.design("baseline", 16)
-        source = ProbabilisticTraffic(
-            runner.topology, runner.patterns["uniform"], 0.015, seed=9
-        )
-        sim = Simulator(design.new_network(), [source], SIM,
-                        observation=Observation(metrics=MetricsRegistry()))
-        result = sim.run_result(design="bare", workload="uniform")
-        assert isinstance(result, RunResult)
-        assert result.avg_latency == result.stats.avg_packet_latency
-        assert result.power is None and math.isnan(result.total_power_w)
-        assert result.metrics is not None
-        assert len(result.provenance) == 64
-
 
 class TestRunResult:
-    def test_provenance_digest_deterministic(self):
-        a = provenance_digest(sim=SIM, design="x", workload="uniform")
-        b = provenance_digest(sim=SIM, design="x", workload="uniform")
-        c = provenance_digest(sim=SIM, design="y", workload="uniform")
-        assert a == b
-        assert a != c
-
     def test_with_provenance(self):
         r = RunResult(design="d", workload="w", avg_latency=1.0,
                       avg_flit_latency=1.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import baseline
-from repro.noc import MeshTopology, Simulator, simulate
+from repro.noc import MeshTopology, Simulator
 from repro.params import ArchitectureParams, MeshParams, SimulationParams
 from repro.traffic import ProbabilisticTraffic, all_patterns
 
@@ -47,11 +47,11 @@ class TestMethodology:
 
     def test_simulate_convenience(self, topo):
         net = baseline(16, topology=topo).new_network()
-        stats = simulate(
+        stats = Simulator(
             net, [make_source(topo)],
             SimulationParams(warmup_cycles=50, measure_cycles=200,
                              drain_cycles=2000),
-        )
+        ).run()
         assert stats.delivered_packets > 0
 
     def test_saturated_network_reports_partial_delivery(self, topo):
