@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.exec.engine import ProgressFn, SweepReport, run_sweep
 from repro.exec.jobs import cell_extra, check_cell, sweep_grid
 from repro.exec.store import ResultStore
-from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
+from repro.experiments.config import ExperimentConfig, resolve_config
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import EventTracer, MetricsRegistry, Observation
 from repro.obs.result import RunResult
@@ -42,23 +42,10 @@ __all__ = ["Comparison", "RunResult", "campaign", "compare", "simulate",
            "sweep"]
 
 
-def _resolve_config(
-    config: Optional[ExperimentConfig], fast: bool,
-) -> ExperimentConfig:
-    return config or (FAST_CONFIG if fast else DEFAULT_CONFIG)
-
-
 def _resolve_store(store: Union[ResultStore, str, Path, None]) -> Optional[ResultStore]:
     if store is None or isinstance(store, ResultStore):
         return store
     return ResultStore(store)
-
-
-def _with_kernel(config: ExperimentConfig, kernel: str) -> ExperimentConfig:
-    """A config copy requesting ``kernel`` for every simulation it drives."""
-    from dataclasses import replace
-
-    return replace(config, sim=replace(config.sim, kernel=kernel))
 
 
 def _control_request(online: Union[bool, str, None]) -> Optional[str]:
@@ -129,9 +116,7 @@ def simulate(
     control = _control_request(online)
     check_cell(design, width, workload, online=control is not None)
     cell_extra(faults=faults, topology=topology, control=control)
-    resolved_config = _resolve_config(config, fast)
-    if kernel is not None:
-        resolved_config = _with_kernel(resolved_config, kernel)
+    resolved_config = resolve_config(config, fast=fast, kernel=kernel)
     runner = ExperimentRunner(
         resolved_config, params, store=_resolve_store(store)
     )
@@ -219,12 +204,9 @@ def sweep(
         adaptive_routing=adaptive_routing, seeds=seeds, faults=faults,
         topology=topology, control=_control_request(online),
     )
-    resolved_config = _resolve_config(config, fast)
-    if kernel is not None:
-        resolved_config = _with_kernel(resolved_config, kernel)
     return run_sweep(
         specs,
-        config=resolved_config,
+        config=resolve_config(config, fast=fast, kernel=kernel),
         params=params,
         store=_resolve_store(store),
         jobs=jobs,
@@ -258,28 +240,15 @@ def campaign(
     checkpointed chunks (through the local sweep engine, or a running
     ``repro serve`` when ``client`` is given), and returns one
     :class:`~repro.campaign.runner.CampaignResult` carrying the manifest,
-    warm/cold telemetry, the Pareto frontier (``.pareto()``), and the
-    trend report (``.trend()``).  A killed campaign re-invoked with the
-    same arguments resumes with zero recomputation — see
-    ``docs/campaigns.md``.
+    warm/cold telemetry and the Pareto frontier (``.pareto()``).  A
+    killed campaign re-invoked with the same arguments resumes with zero
+    recomputation — see ``docs/campaigns.md``.
     """
     from repro.campaign.runner import run_campaign
-    from repro.campaign.spec import CampaignSpec, spec_from_dict
+    from repro.experiments.campaigns import resolve_campaign
 
-    if isinstance(spec, dict):
-        spec = spec_from_dict(spec)
-    elif isinstance(spec, str) and not spec.endswith((".toml", ".json")):
-        from repro.experiments.campaigns import NAMED_CAMPAIGNS
-
-        named = NAMED_CAMPAIGNS.get(spec)
-        if named is not None:
-            spec = named
-    if not isinstance(spec, (CampaignSpec, str, Path)):
-        raise TypeError(
-            f"spec must be a CampaignSpec, mapping, path, or campaign "
-            f"name, not {type(spec).__name__}")
     return run_campaign(
-        spec, config=config, params=params, store=store,
+        resolve_campaign(spec), config=config, params=params, store=store,
         directory=directory, jobs=jobs, client=client, fresh=fresh,
         max_chunks=max_chunks, progress=progress, registry=registry,
     )

@@ -20,9 +20,7 @@ serving tiers in the layer diagram:
   running ``repro serve`` instance (``client=ServeClient(...)``);
 * :mod:`repro.campaign.pareto` — the reduction layer: Pareto frontiers
   over configurable minimized objectives (latency, power, area, fault
-  drops);
-* :mod:`repro.campaign.trend` — campaign aggregates lined up against
-  the committed ``BENCH_*.json`` history.
+  drops).
 
 Quick start::
 
@@ -50,7 +48,6 @@ from repro.campaign.runner import (
 from repro.campaign.spec import (
     OBJECTIVE_FIELDS, CampaignError, CampaignSpec, load_spec, spec_from_dict,
 )
-from repro.campaign.trend import trend_report
 
 __all__ = [
     "CampaignError",
@@ -72,5 +69,4 @@ __all__ = [
     "pareto_frontier",
     "run_campaign",
     "spec_from_dict",
-    "trend_report",
 ]

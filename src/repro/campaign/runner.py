@@ -36,13 +36,10 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.campaign.pareto import frontier_summary, pareto_frontier
 from repro.campaign.spec import CampaignError, CampaignSpec, load_spec
-from repro.campaign.trend import DEFAULT_BENCH_DIR, trend_report
 from repro.exec.engine import run_sweep
 from repro.exec.jobs import JobSpec, job_digest
-from repro.exec.store import ResultStore
-from repro.experiments.config import (
-    DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig,
-)
+from repro.exec.store import DEFAULT_CACHE, ResultStore
+from repro.experiments.config import ExperimentConfig, resolve_config
 from repro.experiments.export import jsonable
 from repro.obs.profile import Profiler
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
@@ -61,9 +58,6 @@ MANIFEST_NAME = "campaign.json"
 
 #: Where campaign directories live by default.
 DEFAULT_CAMPAIGN_ROOT = Path("benchmarks/results/campaigns")
-
-#: The store the CLI and facade share with ``sweep``/``serve``.
-DEFAULT_CACHE = "benchmarks/results/cache"
 
 #: Cell sources that did not cost a fresh simulation in *this* process.
 WARM_SOURCES = ("store", "coalesced")
@@ -203,10 +197,6 @@ class CampaignResult:
         return pareto_frontier(self.done_cells,
                                tuple(objectives or self.spec.objectives))
 
-    def trend(self, bench_dir: str | Path = DEFAULT_BENCH_DIR) -> dict:
-        """Aggregates vs the committed BENCH_* history."""
-        return trend_report(self.summary(), bench_dir)
-
     def summary(self) -> dict:
         """Campaign-level telemetry as a JSON-safe dict."""
         objectives = tuple(self.spec.objectives)
@@ -256,28 +246,19 @@ def manifest_status(manifest: dict) -> dict:
     }
 
 
-def manifest_report(manifest: dict, objectives=None,
-                    bench_dir: str | Path = DEFAULT_BENCH_DIR) -> dict:
-    """Pareto frontier + trend from a manifest alone (no store access)."""
+def manifest_report(manifest: dict, objectives=None) -> dict:
+    """Pareto frontier from a manifest alone (no store access)."""
     spec_objectives = tuple(
         (manifest.get("spec") or {}).get("objectives")
         or ("latency", "power"))
     objectives = tuple(objectives) if objectives else spec_objectives
     done = [c for c in manifest.get("cells", []) if c.get("status") == "done"]
     frontier = pareto_frontier(done, objectives)
-    status = manifest_status(manifest)
-    summary = {
-        "cells": status["cells"],
-        "warm": sum(status["sources"].get(s, 0) for s in WARM_SOURCES),
-        "cycles_per_sec": None,
-        "wall_s": sum(c.get("wall_s") or 0.0 for c in done),
-    }
     return {
-        "status": status,
+        "status": manifest_status(manifest),
         "objectives": list(objectives),
         "pareto": frontier_summary(frontier, objectives),
         "frontier": frontier,
-        "trend": trend_report(summary, bench_dir),
     }
 
 
@@ -348,7 +329,6 @@ def run_campaign(
     max_chunks: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
     registry: Optional["MetricsRegistry"] = None,
-    bench_dir: str | Path = DEFAULT_BENCH_DIR,
 ) -> CampaignResult:
     """Run (or resume) a campaign; returns one :class:`CampaignResult`.
 
@@ -367,13 +347,8 @@ def run_campaign(
     if not isinstance(spec, CampaignSpec):
         spec = load_spec(spec)
     spec.validate()
-    resolved_config = config or (FAST_CONFIG if spec.fast else DEFAULT_CONFIG)
-    if spec.kernel is not None:
-        import dataclasses
-
-        resolved_config = dataclasses.replace(
-            resolved_config,
-            sim=dataclasses.replace(resolved_config.sim, kernel=spec.kernel))
+    resolved_config = resolve_config(config, fast=spec.fast,
+                                     kernel=spec.kernel)
     if store is None and client is None:
         store = ResultStore(DEFAULT_CACHE)
     elif not (store is None or isinstance(store, ResultStore)):

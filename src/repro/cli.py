@@ -15,8 +15,8 @@ Commands
                 metrics/trace/job; see ``docs/serving.md``)
 ``campaign``    declarative, resumable scenario campaigns: ``run`` a
                 spec (file or named campaign) in checkpointed chunks,
-                ``status`` a manifest, ``report`` Pareto frontiers and
-                trends (see ``docs/campaigns.md``)
+                ``status`` a manifest, ``report`` Pareto frontiers
+                (see ``docs/campaigns.md``)
 ``kernels``     list the registered cycle-execution kernels and their
                 capability flags (the ``--kernel`` vocabulary)
 ``topologies``  list the registered substrate topology providers and
@@ -51,7 +51,7 @@ import sys
 from pathlib import Path
 
 from repro.experiments import (
-    DEFAULT_CONFIG, FAST_CONFIG, ExperimentRunner, e1_load_latency,
+    FAST_CONFIG, ExperimentRunner, e1_load_latency,
     e2_adaptive_routing, e3_static_shortcut_gains, e4_heuristic_ablation,
     fig1_traffic_locality, fig2_topologies, fig7_rf_router_count,
     fig8_bandwidth_reduction, fig9_multicast, fig10_unified,
@@ -61,6 +61,8 @@ from repro.experiments import (
 from repro.exec.jobs import (
     CONTROL_STYLES, DESIGN_STYLES, LINK_WIDTHS, SpecError,
 )
+from repro.exec.store import DEFAULT_CACHE
+from repro.experiments.config import resolve_config
 from repro.noc.kernel import list_kernels
 from repro.noc.topology import list_topologies
 from repro.params import DEFAULT_PARAMS
@@ -103,17 +105,18 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _config_for(args):
-    """The experiment config implied by ``--fast``/``--seed``/``--kernel``."""
-    config = FAST_CONFIG if getattr(args, "fast", False) else DEFAULT_CONFIG
-    seed = getattr(args, "seed", None)
-    if seed is not None:
-        config = dataclasses.replace(config, traffic_seed=seed)
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
-        config = dataclasses.replace(
-            config, sim=dataclasses.replace(config.sim, kernel=kernel)
-        )
+def _config_for(args, *, seeded: bool = False):
+    """The experiment config implied by ``--fast``/``--kernel``.
+
+    ``seeded`` folds ``--seed`` into ``traffic_seed`` — only for the verbs
+    with no per-cell seed to carry it (``run``, ``serve``).  ``sweep``,
+    ``simulate`` and ``control`` put it in the cell, so one ``--seed N``
+    addresses one store entry whichever verb (or API, or request) asks.
+    """
+    config = resolve_config(fast=getattr(args, "fast", False),
+                            kernel=getattr(args, "kernel", None))
+    if seeded and args.seed is not None:
+        config = dataclasses.replace(config, traffic_seed=args.seed)
     return config
 
 
@@ -270,7 +273,7 @@ def cmd_run(args) -> int:
     from repro.experiments.export import jsonable
 
     _warn_trace_ignored(args)
-    runner = ExperimentRunner(_config_for(args))
+    runner = ExperimentRunner(_config_for(args, seeded=True))
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     out_dir = Path(args.out) if args.out else None
     if out_dir:
@@ -367,7 +370,7 @@ def cmd_sweep(args) -> int:
     workloads = _split_list(args.workloads, "workloads")
     specs = sweep_grid(styles, widths, workloads,
                        adaptive_routing=args.adaptive_routing,
-                       faults=args.faults or None,
+                       seeds=(args.seed,), faults=args.faults or None,
                        topology=getattr(args, "topology", None),
                        control=online)
     trace_dir = Path(args.trace_events) if args.trace_events else None
@@ -529,7 +532,7 @@ def _serve_cluster(args) -> int:
         extra += ["--topology", args.topology]
     cluster = Cluster(
         workers=args.workers,
-        config=_config_for(args),
+        config=_config_for(args, seeded=True),
         fast=getattr(args, "fast", False),
         processes=True,
         host=args.host,
@@ -579,7 +582,7 @@ def cmd_serve(args) -> int:
         # fields still override it cell by cell.
         params = params.with_topology(provider=args.topology)
     service = SimulationService(
-        config=_config_for(args),
+        config=_config_for(args, seeded=True),
         params=params,
         store=store,
         queue_limit=args.queue_limit,
@@ -670,18 +673,15 @@ def cmd_request(args) -> int:
 
 def _resolve_campaign_spec(args):
     """The CampaignSpec named by ``--spec`` (file path or named campaign)."""
-    from repro.campaign import CampaignError, load_spec
-    from repro.experiments.campaigns import NAMED_CAMPAIGNS
+    from repro.campaign import CampaignError
+    from repro.experiments.campaigns import NAMED_CAMPAIGNS, resolve_campaign
 
     if not args.spec:
         raise CLIError(
             "campaign run needs --spec FILE|NAME "
             f"(named campaigns: {', '.join(sorted(NAMED_CAMPAIGNS))})")
-    named = NAMED_CAMPAIGNS.get(args.spec)
-    if named is not None:
-        return named
     try:
-        return load_spec(args.spec)
+        return resolve_campaign(args.spec)
     except CampaignError as exc:
         raise CLIError(str(exc)) from exc
 
@@ -695,12 +695,7 @@ def _campaign_dir(args, spec=None) -> Path:
     if not name:
         raise CLIError("campaign status/report needs --dir DIR or "
                        "--spec FILE|NAME to locate the manifest")
-    from repro.experiments.campaigns import NAMED_CAMPAIGNS
-
-    named = NAMED_CAMPAIGNS.get(name)
-    if named is not None:
-        name = named.name
-    elif name.endswith((".toml", ".json")):
+    if name.endswith((".toml", ".json")):
         name = _resolve_campaign_spec(args).name
     return DEFAULT_CAMPAIGN_ROOT / name
 
@@ -766,10 +761,6 @@ def cmd_campaign(args) -> int:
             values = "  ".join(f"{name}={cell['objectives'][name]:.3f}"
                                for name in objectives)
             print(f"  {cell['label']:<{width}}  {values}")
-        for metric, entry in payload["trend"].items():
-            ratio = (f"{entry['ratio']:.2f}x" if entry["ratio"] is not None
-                     else entry.get("note", "n/a"))
-            print(f"trend {metric:<18}: {ratio}")
         return 0
 
     # -- run ----------------------------------------------------------------
@@ -817,8 +808,7 @@ def cmd_campaign(args) -> int:
     summary = result.summary()
     if args.json:
         _print_json({"summary": summary,
-                     "manifest": str(result.directory / "campaign.json"),
-                     "trend": result.trend()})
+                     "manifest": str(result.directory / "campaign.json")})
         return 0
     print(f"campaign  : {summary['name']} [{summary['status']}] "
           f"{summary['done']}/{summary['cells']} cells")
@@ -942,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workloads", default="uniform",
                        help="comma-separated workload names")
     sweep.add_argument("--adaptive-routing", action="store_true")
-    sweep.add_argument("--cache", default="benchmarks/results/cache",
+    sweep.add_argument("--cache", default=DEFAULT_CACHE,
                        help="persistent result-store directory")
     sweep.add_argument("--no-cache", action="store_true",
                        help="skip the persistent store entirely")
@@ -973,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     control.add_argument("--compare-static", action="store_true",
                          help="also run every phase's static placement on "
                               "the full workload and report the best")
-    control.add_argument("--cache", default="benchmarks/results/cache",
+    control.add_argument("--cache", default=DEFAULT_CACHE,
                          help="persistent result-store directory")
     control.add_argument("--no-cache", action="store_true",
                          help="skip the persistent store entirely")
@@ -1000,7 +990,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission queue bound (full -> 429)")
     serve.add_argument("--timeout", type=float, default=600.0,
                        help="per-request wait ceiling, seconds")
-    serve.add_argument("--cache", default="benchmarks/results/cache",
+    serve.add_argument("--cache", default=DEFAULT_CACHE,
                        help="persistent result-store directory")
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without the persistent store")
@@ -1022,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
         "action", nargs="?", default="run",
         choices=["run", "status", "report"],
         help="run a campaign, print a manifest's progress, or reduce "
-             "it to Pareto frontiers + trends")
+             "it to its Pareto frontier")
     campaign.add_argument(
         "--spec", default=None,
         help="campaign spec file (.toml/.json) or a named campaign "
@@ -1031,7 +1021,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dir", default=None,
         help="campaign directory holding the checkpoint manifest "
              "(default benchmarks/results/campaigns/<name>)")
-    campaign.add_argument("--cache", default="benchmarks/results/cache",
+    campaign.add_argument("--cache", default=DEFAULT_CACHE,
                           help="persistent result-store directory")
     campaign.add_argument("--fresh", action="store_true",
                           help="ignore any existing manifest and restart")

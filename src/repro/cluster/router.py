@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import secrets
 import time
 from typing import AsyncIterator, Callable, Iterable, Optional, Union
 
-from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
+from repro.exec.jobs import JobSpec
+from repro.experiments.config import ExperimentConfig, resolve_config
 from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
 from repro.serve.http import ServeServer, ServerThread, read_head
@@ -48,7 +48,7 @@ from repro.serve.protocol import (
     RequestError, canonical_digest, envelope, error_envelope, parse_simulate,
     parse_sweep, spec_fields,
 )
-from repro.serve.service import SweepJob
+from repro.serve.service import Backoff, SweepJobs
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 
 #: Shard lifecycle states the router routes by: ``up`` takes new keys,
@@ -208,7 +208,7 @@ class ClusterRouter:
         registry: Optional[MetricsRegistry] = None,
         proxy_timeout_s: float = 600.0,
     ):
-        self.config = config or (FAST_CONFIG if fast else DEFAULT_CONFIG)
+        self.config = resolve_config(config, fast=fast)
         self.params = params
         self.proxy_timeout_s = proxy_timeout_s
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -216,8 +216,7 @@ class ClusterRouter:
         for shard in self._coerce(shards):
             self.shards[shard.shard_id] = shard
         self.ring = HashRing(self.shards, vnodes=vnodes, seed=ring_seed)
-        self.jobs: dict[str, SweepJob] = {}
-        self._job_seq = 0
+        self.jobs = SweepJobs("cjob")
         self._start_monotonic = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: Optional supervisor hook: a callable returning a JSON-safe
@@ -240,9 +239,7 @@ class ClusterRouter:
         self._loop = asyncio.get_running_loop()
 
     async def stop(self) -> None:
-        for job in self.jobs.values():
-            if job.task is not None and not job.task.done():
-                job.task.cancel()
+        self.jobs.cancel()
         for shard in self.shards.values():
             shard.close_pool()
 
@@ -345,77 +342,28 @@ class ClusterRouter:
             return 400, error_envelope(str(exc)), {}
         digests = [canonical_digest(s, self.config, self.params)[1]
                    for s in specs]
-        self._job_seq += 1
-        job_id = f"cjob-{self._job_seq:04d}-{secrets.token_hex(4)}"
-        job = SweepJob(job_id=job_id, specs=specs)
-        self.jobs[job_id] = job
-        job.task = asyncio.create_task(
-            self._run_sweep_job(job, digests), name=f"cluster-{job_id}")
-        return 202, envelope(status="accepted", job_id=job_id,
+
+        async def settle(index: int, spec: JobSpec) -> dict:
+            status, out, _ = await self._proxy_cell(spec_fields(spec),
+                                                    digests[index])
+            if status in (429, 503):
+                # The owner is shedding (or momentarily unroutable):
+                # batch cells wait and re-offer, they never drop.
+                raise Backoff(out.get("retry_after_s", UNROUTABLE_RETRY_S))
+            if status != 200:
+                raise RuntimeError(
+                    f"cell {index} failed on shard {out.get('shard', '?')}: "
+                    f"{out.get('error', status)}")
+            return {"source": out.get("source", "computed"),
+                    "shard": out.get("shard", "?"),
+                    "digest": out.get("digest", digests[index]),
+                    "wall_s": out.get("wall_s"),
+                    "result": out.get("result")}
+
+        job = self.jobs.launch(specs, settle, max(2, 2 * len(self.shards)))
+        return 202, envelope(status="accepted", job_id=job.job_id,
                              cells=len(specs),
                              spread=self.ring.spread(digests)), {}
-
-    async def _run_one_cell(self, job: SweepJob, index: int, digest: str,
-                            fields: dict, sem: asyncio.Semaphore,
-                            tally: dict, shard_tally: dict) -> None:
-        async with sem:
-            while True:
-                status, out, _ = await self._proxy_cell(fields, digest)
-                if status in (429, 503):
-                    # The owner is shedding (or momentarily unroutable):
-                    # batch cells wait and re-offer, they never drop.
-                    hint = out.get("retry_after_s", UNROUTABLE_RETRY_S)
-                    await job.emit({
-                        "event": "backoff", "index": index,
-                        "retry_after_s": hint,
-                    })
-                    await asyncio.sleep(min(hint, 5))
-                    continue
-                if status != 200:
-                    raise RuntimeError(
-                        f"cell {index} failed on shard "
-                        f"{out.get('shard', '?')}: "
-                        f"{out.get('error', status)}")
-                break
-            source = out.get("source", "computed")
-            tally[source] = tally.get(source, 0) + 1
-            shard = out.get("shard", "?")
-            shard_tally[shard] = shard_tally.get(shard, 0) + 1
-            await job.emit({
-                "event": "hit" if source == "store" else "done",
-                "index": index,
-                "source": source,
-                "shard": shard,
-                "digest": out.get("digest", digest),
-                "wall_s": out.get("wall_s"),
-                "result": out.get("result"),
-            })
-
-    async def _run_sweep_job(self, job: SweepJob,
-                             digests: list[str]) -> None:
-        sem = asyncio.Semaphore(max(2, 2 * len(self.shards)))
-        tally: dict[str, int] = {}
-        shard_tally: dict[str, int] = {}
-        start = time.perf_counter()
-        try:
-            await asyncio.gather(*(
-                self._run_one_cell(job, i, digests[i],
-                                   spec_fields(spec), sem, tally,
-                                   shard_tally)
-                for i, spec in enumerate(job.specs)
-            ))
-        except asyncio.CancelledError:
-            await job.finish("failed", {"error": "cancelled"})
-            raise
-        except Exception as exc:
-            await job.finish("failed", {"error": str(exc)})
-            return
-        await job.finish("done", {
-            "cells": len(job.specs),
-            "wall_s": time.perf_counter() - start,
-            "sources": dict(sorted(tally.items())),
-            "shards": dict(sorted(shard_tally.items())),
-        })
 
     async def stream_job(
         self, job_id: str,
@@ -457,9 +405,7 @@ class ClusterRouter:
                     for sid in states},
             counts={state: sum(1 for s in states.values() if s == state)
                     for state in SHARD_STATES},
-            jobs={status_: sum(1 for j in self.jobs.values()
-                               if j.status == status_)
-                  for status_ in ("running", "done", "failed")},
+            jobs=self.jobs.counts(),
         )
 
     async def metrics(self) -> dict:

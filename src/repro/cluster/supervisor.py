@@ -33,8 +33,6 @@ Worker stores live under one cache root::
 
 from __future__ import annotations
 
-import http.client
-import json
 import os
 import shutil
 import signal
@@ -47,7 +45,8 @@ import time
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
+from repro.experiments.config import ExperimentConfig, resolve_config
+from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.http import ServerThread
 from repro.serve.service import SimulationService
 from repro.cluster.ring import DEFAULT_VNODES
@@ -64,18 +63,12 @@ def free_port(host: str = "127.0.0.1") -> int:
 def probe_health(host: str, port: int,
                  timeout: float = 2.0) -> Optional[dict]:
     """One blocking ``GET /healthz``; None when unreachable/unparseable."""
-    try:
-        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    with ServeClient(host, port, timeout=timeout) as client:
         try:
-            conn.request("GET", "/healthz")
-            response = conn.getresponse()
-            if response.status != 200:
-                return None
-            return json.loads(response.read())
-        finally:
-            conn.close()
-    except (OSError, ValueError, http.client.HTTPException):
-        return None
+            response = client.health()
+        except ServeClientError:
+            return None
+    return response.payload if response.status == 200 else None
 
 
 class WorkerHandle:
@@ -336,7 +329,7 @@ class Cluster:
             raise ValueError("worker_ports must name one port per worker")
         self.num_workers = workers
         self.fast = fast
-        self.config = config or (FAST_CONFIG if fast else DEFAULT_CONFIG)
+        self.config = resolve_config(config, fast=fast)
         self.processes = processes
         self.host = host
         self.router_port = router_port

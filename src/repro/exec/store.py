@@ -46,6 +46,9 @@ from typing import Iterator, Optional
 #: Bump whenever the payload layout written by the codecs changes shape.
 SCHEMA_VERSION = 1
 
+#: The store root ``sweep``/``control``/``serve``/``campaign`` share by default.
+DEFAULT_CACHE = "benchmarks/results/cache"
+
 # Process-global: two store instances over the SAME directory (e.g. two
 # shards' views of one shared tier) must never mint the same temp name.
 _TMP_SEQ = itertools.count(1)

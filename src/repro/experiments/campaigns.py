@@ -23,7 +23,10 @@ name (``repro campaign run --spec e-series``) and tests/CI can import.
 
 from __future__ import annotations
 
-from repro.campaign.spec import CampaignSpec
+from pathlib import Path
+from typing import Union
+
+from repro.campaign.spec import CampaignSpec, load_spec, spec_from_dict
 
 E_SERIES = CampaignSpec(
     name="e-series",
@@ -73,3 +76,22 @@ SMOKE = CampaignSpec(
 NAMED_CAMPAIGNS: dict[str, CampaignSpec] = {
     spec.name: spec for spec in (E_SERIES, R_SERIES, E_TOPOLOGY, SMOKE)
 }
+
+
+def resolve_campaign(spec: Union[CampaignSpec, dict, str, Path]) -> CampaignSpec:
+    """The campaign a caller named, however they named it.
+
+    A :class:`CampaignSpec` is returned as is, a mapping of its fields is
+    validated into one, a string is looked up in :data:`NAMED_CAMPAIGNS`
+    and otherwise read as the path of a ``.toml``/``.json`` spec file
+    (:class:`~repro.campaign.spec.CampaignError` if it cannot be loaded).
+    """
+    if isinstance(spec, CampaignSpec):
+        return spec
+    if isinstance(spec, dict):
+        return spec_from_dict(spec)
+    if isinstance(spec, (str, Path)):
+        return NAMED_CAMPAIGNS.get(str(spec)) or load_spec(spec)
+    raise TypeError(
+        f"spec must be a CampaignSpec, mapping, path, or campaign "
+        f"name, not {type(spec).__name__}")

@@ -11,7 +11,8 @@ trace loads).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 from repro.params import SimulationParams
 
@@ -62,3 +63,18 @@ FAST_CONFIG = ExperimentConfig(
 )
 
 DEFAULT_CONFIG = ExperimentConfig()
+
+
+def resolve_config(config: Optional[ExperimentConfig] = None, *,
+                   fast: bool = False,
+                   kernel: Optional[str] = None) -> ExperimentConfig:
+    """The config a surface runs under: explicit, else the fast/default pair.
+
+    ``kernel`` requests a cycle-execution kernel for every simulation the
+    config drives; kernels are bit-identical and never enter a digest, so
+    the override moves wall-clock time only.
+    """
+    config = config or (FAST_CONFIG if fast else DEFAULT_CONFIG)
+    if kernel is not None:
+        config = replace(config, sim=replace(config.sim, kernel=kernel))
+    return config

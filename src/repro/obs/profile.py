@@ -11,8 +11,9 @@ A :class:`Profiler` accumulates named wall-clock phases::
 
 The sweep engine profiles every job this way (and the parent process its
 store lookups); phase totals roll into ``SweepReport.summary()["profile"]``
-and from there into the committed ``BENCH_*.json`` perf records, so a perf
-PR can see *which* phase it moved, not just the total.
+and from there into the ``exec.engine.*_s`` per-layer metrics of
+``benchmarks/e2e``, so a perf PR can see *which* phase it moved, not just
+the total.
 """
 
 from __future__ import annotations

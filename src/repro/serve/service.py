@@ -10,7 +10,8 @@ kept free of sockets so tests (and the CLI) can drive it directly:
   background *job*, and return its id; cells flow through the same
   scheduler, so batch work shares the cache and coalesces with
   interactive requests. A shed cell backs off and retries — an accepted
-  job is never silently dropped;
+  job is never silently dropped (:meth:`SweepJob.run` is that loop; the
+  cluster router runs its fan-out through the same one);
 * ``stream_job(job_id)`` — an async iterator of the job's progress
   events (NDJSON lines on the wire), ending after the terminal
   ``complete`` event;
@@ -38,11 +39,11 @@ import itertools
 import secrets
 import time
 from dataclasses import dataclass, field
-from typing import AsyncIterator, Optional
+from typing import AsyncIterator, Awaitable, Callable, Optional
 
 from repro.exec.jobs import JobSpec
 from repro.exec.store import ResultStore
-from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
+from repro.experiments.config import ExperimentConfig, resolve_config
 from repro.experiments.export import jsonable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import EventTracer
@@ -57,6 +58,25 @@ from repro.serve.scheduler import (
 
 #: Scheduler settlement labels, in reconciliation order.
 SETTLE_SOURCES = ("store", "coalesced", "computed", "shed", "timeout", "error")
+
+
+#: Longest a shed sweep cell sleeps before it is re-offered, seconds.
+MAX_BACKOFF_S = 5
+
+
+class Backoff(Exception):
+    """A ``settle`` callable's "shed — re-offer this cell later"."""
+
+    def __init__(self, retry_after_s: float):
+        super().__init__(f"retry after {retry_after_s}s")
+        self.retry_after_s = retry_after_s
+
+
+#: Settles sweep cell ``index``: the fields of its progress event
+#: (``source``, ``digest``, ``wall_s``, ``result`` and, behind the router,
+#: ``shard``).  Raises :class:`Backoff` when shed, anything else to fail
+#: the job.
+SettleFn = Callable[[int, JobSpec], Awaitable[dict]]
 
 
 @dataclass
@@ -87,6 +107,58 @@ class SweepJob:
             )
             self.cond.notify_all()
 
+    async def run(self, settle: SettleFn, width: int) -> None:
+        """Settle every cell, ``width`` at a time, then finish the job.
+
+        Batch cells defer to interactive load instead of failing: a shed
+        cell emits ``backoff``, sleeps the hinted time (capped) and is
+        re-offered, so an accepted job never drops a cell.
+        """
+        sem = asyncio.Semaphore(width)
+        sources: dict[str, int] = {}
+        shards: dict[str, int] = {}
+        start = time.perf_counter()
+
+        async def one(index: int, spec: JobSpec) -> None:
+            async with sem:
+                while True:
+                    try:
+                        cell = await settle(index, spec)
+                    except Backoff as exc:
+                        await self.emit({
+                            "event": "backoff", "index": index,
+                            "retry_after_s": exc.retry_after_s,
+                        })
+                        await asyncio.sleep(
+                            min(exc.retry_after_s, MAX_BACKOFF_S))
+                        continue
+                    break
+                sources[cell["source"]] = sources.get(cell["source"], 0) + 1
+                if "shard" in cell:
+                    shards[cell["shard"]] = shards.get(cell["shard"], 0) + 1
+                await self.emit({
+                    "event": "hit" if cell["source"] == "store" else "done",
+                    "index": index, **cell,
+                })
+
+        try:
+            await asyncio.gather(*(
+                one(i, spec) for i, spec in enumerate(self.specs)))
+        except asyncio.CancelledError:
+            await self.finish("failed", {"error": "cancelled"})
+            raise
+        except Exception as exc:
+            await self.finish("failed", {"error": str(exc)})
+            return
+        summary = {
+            "cells": len(self.specs),
+            "wall_s": time.perf_counter() - start,
+            "sources": dict(sorted(sources.items())),
+        }
+        if shards:
+            summary["shards"] = dict(sorted(shards.items()))
+        await self.finish("done", summary)
+
     async def stream(self) -> AsyncIterator[dict]:
         """Every event from the first, ending after ``complete``."""
         index = 0
@@ -101,6 +173,38 @@ class SweepJob:
                 yield event
             if finished and index >= len(self.events):
                 return
+
+
+class SweepJobs:
+    """A tier's sweep-job registry: ids, background tasks, status counts."""
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self._jobs: dict[str, SweepJob] = {}
+        self._seq = itertools.count(1)
+
+    def launch(self, specs: list[JobSpec], settle: SettleFn,
+               width: int) -> SweepJob:
+        """Register a job and start :meth:`SweepJob.run` in the background."""
+        job_id = f"{self.prefix}-{next(self._seq):04d}-{secrets.token_hex(4)}"
+        job = self._jobs[job_id] = SweepJob(job_id=job_id, specs=specs)
+        job.task = asyncio.create_task(job.run(settle, width), name=job_id)
+        return job
+
+    def get(self, job_id: str) -> Optional[SweepJob]:
+        return self._jobs.get(job_id)
+
+    def cancel(self) -> None:
+        """Cancel every job still running (tier shutdown)."""
+        for job in self._jobs.values():
+            if job.task is not None and not job.task.done():
+                job.task.cancel()
+
+    def counts(self) -> dict[str, int]:
+        """Jobs per status, for ``/healthz``."""
+        return {status: sum(1 for job in self._jobs.values()
+                            if job.status == status)
+                for status in ("running", "done", "failed")}
 
 
 class SimulationService:
@@ -121,16 +225,15 @@ class SimulationService:
         tracer: Optional[EventTracer] = None,
         shard_id: Optional[str] = None,
     ):
-        resolved = config or (FAST_CONFIG if fast else DEFAULT_CONFIG)
         self.scheduler = SimulationScheduler(
-            config=resolved, params=params, store=store, executor=executor,
+            config=resolve_config(config, fast=fast), params=params,
+            store=store, executor=executor,
             queue_limit=queue_limit, concurrency=concurrency,
             max_timeout_s=max_timeout_s, registry=registry,
         )
         self.registry = self.scheduler.registry
         self.tracer = tracer if tracer is not None else EventTracer(4096)
-        self.jobs: dict[str, SweepJob] = {}
-        self._job_seq = itertools.count(1)
+        self.jobs = SweepJobs("job")
         self._start_monotonic = time.monotonic()
         #: Stable worker identity: a cluster supervisor names its shards
         #: (``shard-0``, ``shard-1``, ...); a standalone service is ``solo``.
@@ -150,9 +253,7 @@ class SimulationService:
         await self.scheduler.start()
 
     async def stop(self) -> None:
-        for job in self.jobs.values():
-            if job.task is not None and not job.task.done():
-                job.task.cancel()
+        self.jobs.cancel()
         await self.scheduler.stop()
 
     # -- shared accounting --------------------------------------------------
@@ -217,62 +318,22 @@ class SimulationService:
             specs = parse_sweep(payload)
         except RequestError as exc:
             return self._reject("sweep", exc)
-        job_id = f"job-{next(self._job_seq):04d}-{secrets.token_hex(4)}"
-        job = SweepJob(job_id=job_id, specs=specs)
-        self.jobs[job_id] = job
-        job.task = asyncio.create_task(self._run_sweep_job(job),
-                                       name=f"serve-{job_id}")
-        self._trace("sweep", f"202 {job_id} cells={len(specs)}")
-        return 202, envelope(status="accepted", job_id=job_id,
+        job = self.jobs.launch(specs, self._settle_cell,
+                               self.scheduler.concurrency)
+        self._trace("sweep", f"202 {job.job_id} cells={len(specs)}")
+        return 202, envelope(status="accepted", job_id=job.job_id,
                              cells=len(specs)), {}
 
-    async def _run_one_cell(self, job: SweepJob, index: int, spec: JobSpec,
-                            sem: asyncio.Semaphore, tally: dict) -> None:
-        async with sem:
-            while True:
-                self._count("sweep_cell")
-                try:
-                    outcome = await self.scheduler.submit(spec)
-                except ServiceOverloaded as exc:
-                    # Batch cells defer to interactive load instead of
-                    # failing: back off and re-offer the cell.
-                    await job.emit({
-                        "event": "backoff", "index": index,
-                        "retry_after_s": exc.retry_after_s,
-                    })
-                    await asyncio.sleep(min(exc.retry_after_s, 5))
-                    continue
-                break
-            tally[outcome.source] = tally.get(outcome.source, 0) + 1
-            await job.emit({
-                "event": "hit" if outcome.source == "store" else "done",
-                "index": index,
-                "source": outcome.source,
-                "digest": outcome.digest,
-                "wall_s": outcome.wall_s,
-                "result": result_fields(outcome.result),
-            })
-
-    async def _run_sweep_job(self, job: SweepJob) -> None:
-        sem = asyncio.Semaphore(self.scheduler.concurrency)
-        tally: dict[str, int] = {}
-        start = time.perf_counter()
+    async def _settle_cell(self, index: int, spec: JobSpec) -> dict:
+        """One sweep cell through the scheduler (a :data:`SettleFn`)."""
+        self._count("sweep_cell")
         try:
-            await asyncio.gather(*(
-                self._run_one_cell(job, i, spec, sem, tally)
-                for i, spec in enumerate(job.specs)
-            ))
-        except asyncio.CancelledError:
-            await job.finish("failed", {"error": "cancelled"})
-            raise
-        except Exception as exc:
-            await job.finish("failed", {"error": str(exc)})
-            return
-        await job.finish("done", {
-            "cells": len(job.specs),
-            "wall_s": time.perf_counter() - start,
-            "sources": dict(sorted(tally.items())),
-        })
+            outcome = await self.scheduler.submit(spec)
+        except ServiceOverloaded as exc:
+            raise Backoff(exc.retry_after_s) from exc
+        return {"source": outcome.source, "digest": outcome.digest,
+                "wall_s": outcome.wall_s,
+                "result": result_fields(outcome.result)}
 
     async def stream_job(
         self, job_id: str,
@@ -427,11 +488,7 @@ class SimulationService:
             queue_limit=self.scheduler.queue_limit,
             concurrency=self.scheduler.concurrency,
             inflight=len(self.scheduler._inflight),
-            jobs={
-                status: sum(1 for j in self.jobs.values()
-                            if j.status == status)
-                for status in ("running", "done", "failed")
-            },
+            jobs=self.jobs.counts(),
             store_entries=len(self.store) if self.store is not None else 0,
         )
 

@@ -8,7 +8,7 @@ import pytest
 from repro.campaign import (
     CampaignError, CampaignSpec, load_manifest, load_spec, manifest_path,
     manifest_report, manifest_status, pareto_frontier, run_campaign,
-    spec_from_dict, trend_report,
+    spec_from_dict,
 )
 from repro.campaign.pareto import dominates, objective_vector
 from repro.exec import ResultStore, sweep_grid
@@ -370,48 +370,18 @@ class TestManifestViews:
         assert status["pending"] == 0
         assert status["sources"] == {"sim": 8}
 
-    def test_report_has_frontier_and_trend(self, world):
-        report = manifest_report(world["final_manifest"],
-                                 bench_dir=world["root"])
+    def test_report_has_frontier(self, world):
+        report = manifest_report(world["final_manifest"])
         assert report["pareto"]["size"] >= 1
         assert report["objectives"] == ["latency", "power"]
         assert all(set(c["objectives"]) == {"latency", "power"}
                    for c in report["frontier"])
-        assert "warm_hit_rate" in report["trend"]
 
     def test_report_objective_override(self, world):
         report = manifest_report(world["final_manifest"],
                                  objectives=("latency",))
         assert report["objectives"] == ["latency"]
         assert report["pareto"]["size"] == 1
-
-
-class TestTrend:
-    def test_missing_history_is_noted_not_fatal(self, tmp_path):
-        report = trend_report({"cells": 4, "warm": 2, "wall_s": 1.0,
-                               "cycles_per_sec": 100.0}, tmp_path)
-        assert report["cycles_per_sec"]["baseline"] is None
-        assert "note" in report["warm_hit_rate"]
-
-    def test_ratios_against_committed_history(self, tmp_path):
-        (tmp_path / "BENCH_b0.json").write_text(json.dumps(
-            {"engine": {"cycles_per_sec": 200.0}}))
-        (tmp_path / "BENCH_serve.json").write_text(json.dumps(
-            {"rates": {"warm_hit": 0.5}}))
-        (tmp_path / "BENCH_campaign.json").write_text(json.dumps(
-            {"cells": 4, "cold_wall_s": 2.0}))
-        report = trend_report({"cells": 4, "warm": 2, "wall_s": 1.0,
-                               "cycles_per_sec": 100.0}, tmp_path)
-        assert report["cycles_per_sec"]["ratio"] == pytest.approx(0.5)
-        assert report["warm_hit_rate"]["ratio"] == pytest.approx(1.0)
-        assert report["campaign_wall_s"]["ratio"] == pytest.approx(0.5)
-
-    def test_cell_count_mismatch_not_compared(self, tmp_path):
-        (tmp_path / "BENCH_campaign.json").write_text(json.dumps(
-            {"cells": 99, "cold_wall_s": 2.0}))
-        report = trend_report({"cells": 4, "warm": 0, "wall_s": 1.0}, tmp_path)
-        assert report["campaign_wall_s"]["ratio"] is None
-        assert "not comparable" in report["campaign_wall_s"]["note"]
 
 
 # -- satellite: ServeClient bounded retry-with-backoff -----------------------

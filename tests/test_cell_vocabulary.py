@@ -1,7 +1,7 @@
 """One cell, five surfaces, one address — and one refusal.
 
-The experiment cell (design, width, workload, faults, topology, online
-control) can be spelled through the CLI, ``repro.api``, the serve
+The experiment cell (design, width, workload, seed, faults, topology,
+online control) can be spelled through the CLI, ``repro.api``, the serve
 protocol, a campaign spec and ``repro.control``.  All of them validate
 and canonicalise through :mod:`repro.exec.jobs`, so they must agree on
 every digest (pinned in ``tests/data/cell_digests.json``, generated at
@@ -42,19 +42,23 @@ CASES = {
     "online-phased": {"style": "adaptive", "workload": PHASED,
                       "online": "epoch=600,min=20"},
     "online-faults": {"online": "hysteresis=0.05", "faults": "band:3"},
+    "seeded": {"seed": 7},
+    "online-seeded": {"seed": 7, "online": ""},
 }
 
 
 def _cell(case: dict) -> dict:
     return {"style": "baseline", "width": 16, "workload": "uniform",
-            "faults": None, "topology": None, "online": None, **case}
+            "seed": None, "faults": None, "topology": None, "online": None,
+            **case}
 
 
 def _request_body(cell: dict, *, sweep: bool) -> dict:
     body = ({"styles": [cell["style"]], "widths": [cell["width"]],
-             "workloads": [cell["workload"]]} if sweep else
+             "workloads": [cell["workload"]], "seeds": [cell["seed"]]}
+            if sweep else
             {"design": cell["style"], "width": cell["width"],
-             "workload": cell["workload"]})
+             "workload": cell["workload"], "seed": cell["seed"]})
     for field in ("faults", "topology"):
         if cell[field] is not None:
             body[field] = cell[field]
@@ -71,18 +75,19 @@ def surface_specs(case: dict) -> dict:
         "serve-sweep": parse_sweep(_request_body(cell, sweep=True))[0],
         "sweep_grid": sweep_grid(
             [cell["style"]], [cell["width"]], [cell["workload"]],
-            faults=cell["faults"], topology=cell["topology"],
-            control=cell["online"])[0],
+            seeds=(cell["seed"],), faults=cell["faults"],
+            topology=cell["topology"], control=cell["online"])[0],
         "campaign": CampaignSpec(
             styles=(cell["style"],), widths=(cell["width"],),
-            workloads=(cell["workload"],), faults=(cell["faults"] or "",),
+            workloads=(cell["workload"],), seeds=(cell["seed"],),
+            faults=(cell["faults"] or "",),
             topologies=(cell["topology"] or "mesh",),
             control=(cell["online"],)).expand(FAST_CONFIG)[0],
     }
     if cell["online"] is not None:
         specs["control_spec"] = control_spec(
             cell["workload"], style=cell["style"], width=cell["width"],
-            control=cell["online"], faults=cell["faults"],
+            seed=cell["seed"], control=cell["online"], faults=cell["faults"],
             topology=cell["topology"])
     return specs
 
@@ -92,9 +97,37 @@ def surface_digests(case: dict) -> dict:
             for surface, spec in surface_specs(case).items()}
 
 
+def _cli_argv(cell: dict, verb: str = "sweep") -> list:
+    argv = ([verb, "--styles", cell["style"], "--widths", str(cell["width"]),
+             "--workloads", cell["workload"]] if verb == "sweep" else
+            [verb, "--design", cell["style"], "--width", str(cell["width"]),
+             "--workload", cell["workload"]])
+    argv += ["--fast", "--no-cache", "--json"]
+    for field in ("seed", "faults", "topology"):
+        if cell[field] is not None:
+            argv += [f"--{field}", str(cell[field])]
+    if cell["online"] is not None:
+        argv += ["--online" if verb == "sweep" else "--control",
+                 cell["online"]]
+    return argv
+
+
+def cli_digests(case: dict, capsys) -> dict:
+    """The address the executing CLI verbs report for one cell (they run it)."""
+    cell = _cell(case)
+    assert main(_cli_argv(cell)) == 0
+    digests = {"cli-sweep":
+               json.loads(capsys.readouterr().out)["jobs"][0]["digest"]}
+    if cell["online"] is not None:
+        assert main(_cli_argv(cell, "control")) == 0
+        digests["cli-control"] = json.loads(capsys.readouterr().out)["digest"]
+    return digests
+
+
 @pytest.mark.parametrize("name", CASES)
-def test_surfaces_agree_on_the_address(name):
-    digests = surface_digests(CASES[name])
+def test_surfaces_agree_on_the_address(name, capsys):
+    digests = {**surface_digests(CASES[name]),
+               **cli_digests(CASES[name], capsys)}
     assert len(set(digests.values())) == 1, digests
 
 
@@ -144,22 +177,10 @@ REJECTIONS = {
 }
 
 
-def _cli_argv(cell: dict) -> list:
-    argv = ["sweep", "--styles", cell["style"], "--widths",
-            str(cell["width"]), "--workloads", cell["workload"],
-            "--fast", "--no-cache", "--json"]
-    for field in ("faults", "topology"):
-        if cell[field] is not None:
-            argv += [f"--{field}", cell[field]]
-    if cell["online"] is not None:
-        argv += ["--online", cell["online"]]
-    return argv
-
-
 def _api(cell: dict):
     return repro.simulate(
         cell["style"], cell["workload"], width=cell["width"], fast=True,
-        faults=cell["faults"], topology=cell["topology"],
+        seed=cell["seed"], faults=cell["faults"], topology=cell["topology"],
         online=None if cell["online"] is None else cell["online"] or True)
 
 

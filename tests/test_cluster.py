@@ -327,3 +327,42 @@ class TestSupervisedProcesses:
         finally:
             client.close()
             cluster.stop()
+
+    def test_sweep_job_survives_a_sigkill_mid_flight(self, tmp_path):
+        grid = dict(styles=["baseline", "static", "wire", "adaptive"],
+                    widths=[16, 8], workloads=["uniform"])
+        cluster = Cluster(workers=2, fast=True, processes=True,
+                          cache_root=str(tmp_path / "cluster"),
+                          poll_interval_s=0.25)
+        client = ServeClient(port=cluster.start(), timeout=600.0)
+        try:
+            accepted = client.sweep(**grid)
+            assert accepted.status == 202, accepted.payload
+            spread = accepted.payload["spread"]
+            victim = next(w for w in cluster.workers
+                          if w.shard_id == max(spread, key=spread.get))
+            os.kill(victim.pid, signal.SIGKILL)
+            # Cells in flight on the dead shard fail over to its ring
+            # successor; an accepted job never drops one.
+            events = list(client.job_events(accepted.payload["job_id"]))
+            assert events[-1]["event"] == "complete", events[-1]
+            assert events[-1]["status"] == "done", events[-1]
+            assert events[-1]["summary"]["cells"] == 8
+            counters = client.cluster().payload["counters"]
+            assert counters["rebalanced_keys"] >= 1, counters
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                states = client.cluster().payload["counters"]["states"]
+                if all(state == "up" for state in states.values()):
+                    break
+                time.sleep(0.2)
+            else:
+                raise AssertionError(f"shard never came back: {states}")
+            replay = client.sweep(**grid)
+            summary = list(client.job_events(
+                replay.payload["job_id"]))[-1]["summary"]
+            assert summary["sources"] == {"store": 8}, summary
+            assert sum(summary["shards"].values()) == 8
+        finally:
+            client.close()
+            cluster.stop()

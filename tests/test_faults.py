@@ -393,6 +393,23 @@ class TestFaultSimulation:
         snapshot = obs.metrics.snapshot()
         assert obs.metrics.snapshot_total(snapshot, "fault_events") > 0
 
+    def test_fault_trace_is_deterministic(self):
+        import repro
+
+        def fault_events():
+            obs = repro.Observation(tracer=repro.EventTracer())
+            repro.simulate(
+                "static", "uniform", fast=True, metrics=False,
+                observation=obs,
+                faults="mtbf:bands=16,mtbf=20000,repair=2000,"
+                       "horizon=6000,seed=9;link:44-45@300-900",
+            )
+            return repr(obs.tracer.events("fault"))
+
+        first = fault_events()
+        assert "down" in first
+        assert first == fault_events()
+
     def test_stats_serialization_round_trip(self, runner):
         result = runner.run_unicast(
             runner.design("static", 16), "uniform",

@@ -403,6 +403,13 @@ class TestNonMeshEndToEnd:
         result = runner.run_multicast(design, "rf", 50)
         assert result.stats.delivered_packets > 0
 
+    def test_api_adaptive_overlay_delivers(self, name):
+        import repro
+
+        result = repro.simulate("adaptive", "uniform", fast=True,
+                                metrics=False, topology=name)
+        assert result.stats.delivery_ratio > 0.9
+
     def test_sweep_addresses_and_runs(self, name, tmp_path):
         from repro.exec import ResultStore, run_sweep
 
