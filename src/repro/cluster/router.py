@@ -43,7 +43,9 @@ from repro.exec.jobs import JobSpec
 from repro.experiments.config import ExperimentConfig, resolve_config
 from repro.obs.metrics import MetricsRegistry
 from repro.params import DEFAULT_PARAMS, ArchitectureParams
-from repro.serve.http import ServeServer, ServerThread, read_head
+from repro.serve.http import (
+    ServeServer, ServerThread, content_length, read_head,
+)
 from repro.serve.protocol import (
     RequestError, canonical_digest, envelope, error_envelope, parse_simulate,
     parse_sweep, spec_fields,
@@ -166,7 +168,7 @@ class Shard:
         await writer.drain()
         status_line, headers = await read_head(reader, "response")
         status = int(status_line.decode("latin-1").split(None, 2)[1])
-        length = int(headers.get("content-length", "0"))
+        length = content_length(headers)
         raw = await reader.readexactly(length) if length > 0 else b""
         return status, headers, raw
 

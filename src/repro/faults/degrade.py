@@ -113,7 +113,7 @@ def mesh_faults(
                     f"link fault {fault.canonical()} names a router outside "
                     f"the {n}-router mesh"
                 )
-            if b not in topology.neighbors(a).values():
+            if all(nbr != b for _, nbr in topology.adjacency[a]):
                 raise ValueError(
                     f"link fault {fault.canonical()} does not name a mesh "
                     "link (routers are not adjacent)"

@@ -58,10 +58,6 @@ class FaultState:
         )
         self._runtime = schedule.runtime()
         self._validate_runtime()
-        self._port_to: dict[tuple[int, int], int] = {}
-        for r in range(topology.num_routers):
-            for port, nbr in topology.neighbors(r).items():
-                self._port_to[(r, nbr)] = int(port)
         self._events = sorted(
             {c for f in self._runtime for c in (f.start, f.end)
              if c is not None}
@@ -144,6 +140,7 @@ class FaultState:
     def _apply(self) -> None:
         """Rebuild the dead sets from the currently-active faults."""
         shortcuts = self.tables.shortcuts
+        topology = self.topology
         num_bands = self.rfi.shortcut_budget
         dead_out: set[tuple[int, int]] = set()
         dead_routers: set[int] = set()
@@ -154,8 +151,10 @@ class FaultState:
                 dead_routers.add(fault.target[0])
             elif fault.kind == "link":
                 a, b = fault.target
-                dead_out.add((a, self._port_to[(a, b)]))
-                dead_out.add((b, self._port_to[(b, a)]))
+                for port, nbr in topology.adjacency[a]:
+                    if nbr == b:
+                        dead_out.add((a, port))
+                        dead_out.add((b, int(topology.opposite_port(port))))
             elif fault.kind == "band":
                 dead_bands.add(fault.target[0])
             elif fault.kind == "line":
@@ -168,9 +167,9 @@ class FaultState:
                 dead_out.add((shortcuts[band].src, int(Port.RF)))
         for router in dead_routers:
             dead_out.add((router, EJECT))
-            for port, nbr in self.topology.neighbors(router).items():
-                dead_out.add((router, int(port)))
-                dead_out.add((nbr, self._port_to[(nbr, router)]))
+            for port, nbr in topology.adjacency[router]:
+                dead_out.add((router, port))
+                dead_out.add((nbr, int(topology.opposite_port(port))))
             for sc in shortcuts:
                 if sc.src == router or sc.dst == router:
                     dead_out.add((sc.src, int(Port.RF)))

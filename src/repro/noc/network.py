@@ -163,20 +163,20 @@ class Network:
 
         # Mesh links and the matching input ports.
         for rid, router in enumerate(self.routers):
-            for port, neighbor in topo.neighbors(rid).items():
-                opposite = topo.opposite_port(port)
+            for port, neighbor in topo.adjacency[rid]:
+                opposite = int(topo.opposite_port(port))
                 nbr_router = self.routers[neighbor]
-                if int(opposite) not in nbr_router.in_ports:
+                if opposite not in nbr_router.in_ports:
                     nbr_router.add_input_port(
-                        int(opposite), self.num_vcs, self.params.router.num_escape_vcs
+                        opposite, self.num_vcs, self.params.router.num_escape_vcs
                     )
                 link = OutputLink(
-                    rid, int(port), neighbor, int(opposite),
+                    rid, port, neighbor, opposite,
                     self.total_vcs, self.buffer_depth,
                     capacity=1, is_rf=False, length_mm=spacing,
                 )
-                router.out_links[int(port)] = link
-                nbr_router.in_ports[int(opposite)].feeder = link
+                router.out_links[port] = link
+                nbr_router.in_ports[opposite].feeder = link
 
         # Shortcuts: a sixth port at each endpoint.  RF-I shortcuts are
         # single-cycle and dissipate RF energy; 'wire' shortcuts (the Fig 10a

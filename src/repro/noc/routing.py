@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.noc.topology import Port, TopologyProvider
+from repro.noc.topology.base import bfs_hops
 
 #: Sentinel port value meaning "deliver to the local component".
 EJECT = int(Port.LOCAL)
@@ -114,6 +115,12 @@ class RoutingTables:
         self.alive_routers = tuple(
             r for r in range(n) if r not in self.failed_routers
         )
+        # The surviving provider graph, ``(port, neighbor)`` per router in
+        # provider order; every table, tree and proof below reads it.
+        self._live = tuple(
+            tuple((port, m) for port, m in adj if self.link_alive(r, m))
+            for r, adj in enumerate(topology.adjacency)
+        ) if self.faulted else topology.adjacency
         self._dist: list[list[int]] = [[0] * n for _ in range(n)]
         self._port: list[list[int]] = [[EJECT] * n for _ in range(n)]
         self._mesh_port: list[list[int]] = []
@@ -140,40 +147,18 @@ class RoutingTables:
             and (a, b) not in self.failed_links
         )
 
-    def _live_neighbors(self, r: int) -> list[tuple[int, int]]:
-        """``(port, neighbor)`` over surviving mesh links out of ``r``."""
-        return [
-            (int(port), neighbor)
-            for port, neighbor in self.topology.neighbors(r).items()
-            if self.link_alive(r, neighbor)
-        ]
-
-    def _reverse_adjacency(self) -> list[list[tuple[int, int]]]:
-        """For each router, the list of ``(predecessor, port-out-of-pred)``."""
-        n = self.topology.num_routers
-        radj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for r in range(n):
-            for port, neighbor in self.topology.neighbors(r).items():
-                if self.faulted and not self.link_alive(r, neighbor):
-                    continue
-                radj[neighbor].append((r, int(port)))
-        for sc in self.shortcuts:
-            radj[sc.dst].append((sc.src, int(Port.RF)))
-        return radj
-
     def _build(self) -> None:
         """Per-destination reverse BFS filling distance and next-hop tables."""
-        radj = self._reverse_adjacency()
+        # For each router, ``(port-out-of-pred, predecessor)`` over live
+        # links and shortcuts.
+        radj: list[list[tuple[int, int]]] = [[] for _ in self._live]
+        for r, adj in enumerate(self._live):
+            for port, neighbor in adj:
+                radj[neighbor].append((port, r))
+        for sc in self.shortcuts:
+            radj[sc.dst].append((int(Port.RF), sc.src))
         for dst in self.alive_routers:
-            dist = [-1] * self.topology.num_routers
-            dist[dst] = 0
-            queue = deque([dst])
-            while queue:
-                v = queue.popleft()
-                for pred, _ in radj[v]:
-                    if dist[pred] < 0:
-                        dist[pred] = dist[v] + 1
-                        queue.append(pred)
+            dist = bfs_hops(radj, dst)
             if any(dist[r] < 0 for r in self.alive_routers):
                 if self.faulted:
                     raise DisconnectedMeshError(
@@ -201,21 +186,14 @@ class RoutingTables:
         n = self.topology.num_routers
         self._mesh_port = [[EJECT] * n for _ in range(n)]
         for dst in self.alive_routers:
-            dist = [-1] * n
-            dist[dst] = 0
-            queue = deque([dst])
-            while queue:
-                v = queue.popleft()
-                for _, pred in self._live_neighbors(v):
-                    if dist[pred] < 0:
-                        dist[pred] = dist[v] + 1
-                        queue.append(pred)
+            # Live links are bidirectional: forward BFS gives hops to dst.
+            dist = bfs_hops(self._live, dst)
             for cur in self.alive_routers:
                 if cur == dst:
                     continue
                 xy = xy_port(self.topology, cur, dst)
                 best_key, best_port = None, -1
-                for port, nxt in self._live_neighbors(cur):
+                for port, nxt in self._live[cur]:
                     if dist[nxt] < 0:
                         continue
                     key = (dist[nxt], 0 if port == xy else 1, port)
@@ -236,20 +214,19 @@ class RoutingTables:
         """
         n = self.topology.num_routers
         root = self.alive_routers[0]
-        parent = {root: root}
-        tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        in_tree = {root}
+        # Tree edges as (port, neighbor, the neighbor's port back).
+        tree_adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for port, nbr in self._live_neighbors(v):
-                if nbr in parent:
+            for port, nbr in self._live[v]:
+                if nbr in in_tree:
                     continue
-                parent[nbr] = v
-                tree_adj[v].append((port, nbr))
-                back = next(
-                    p for p, m in self._live_neighbors(nbr) if m == v
-                )
-                tree_adj[nbr].append((back, v))
+                in_tree.add(nbr)
+                back = next(p for p, m in self._live[nbr] if m == v)
+                tree_adj[v].append((port, nbr, back))
+                tree_adj[nbr].append((back, v, port))
                 queue.append(nbr)
         self._escape_port = [[EJECT] * n for _ in range(n)]
         for dst in self.alive_routers:
@@ -258,14 +235,12 @@ class RoutingTables:
             seen = {dst}
             while queue:
                 v = queue.popleft()
-                for port, nbr in tree_adj[v]:
+                for _, nbr, back in tree_adj[v]:
                     if nbr in seen:
                         continue
                     seen.add(nbr)
-                    # nbr reaches dst through v: record nbr's port toward v.
-                    towards[nbr] = next(
-                        p for p, m in tree_adj[nbr] if m == v
-                    )
+                    # nbr reaches dst through v: its port toward v.
+                    towards[nbr] = back
                     queue.append(nbr)
             for cur in self.alive_routers:
                 if cur != dst:
@@ -285,11 +260,8 @@ class RoutingTables:
         if rf_next is not None:
             candidates.append((int(Port.RF), rf_next, 0))
         xy = xy_port(self.topology, cur, dst)
-        for port, neighbor in self.topology.neighbors(cur).items():
-            if self.faulted and not self.link_alive(cur, neighbor):
-                continue
-            rank = 1 if int(port) == xy else 2
-            candidates.append((int(port), neighbor, rank))
+        for port, neighbor in self._live[cur]:
+            candidates.append((port, neighbor, 1 if port == xy else 2))
         for port, nxt, rank in candidates:
             key = (dist[nxt], rank)
             if key < best:
@@ -363,6 +335,7 @@ class RoutingTables:
         call directly in tests for the unfaulted minimal escape too.
         """
         n = self.topology.num_routers
+        live_port = [dict(adj) for adj in self._live]
         deps: dict[tuple[int, int], set[tuple[int, int]]] = {}
         for src in self.alive_routers:
             for dst in self.alive_routers:
@@ -373,9 +346,8 @@ class RoutingTables:
                     port = self.escape_port_for(cur, dst)
                     if port == EJECT:
                         break
-                    neighbors = self.topology.neighbors(cur)
-                    nxt = neighbors.get(Port(port))
-                    if nxt is None or not self.link_alive(cur, nxt):
+                    nxt = live_port[cur].get(port)
+                    if nxt is None:
                         raise DisconnectedMeshError(
                             f"escape route {src}->{dst} uses dead port "
                             f"{port} at router {cur}"

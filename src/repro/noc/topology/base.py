@@ -22,7 +22,11 @@ A provider exposes:
 * **the port/neighbor map** — :meth:`neighbors`, keyed by
   :class:`Port` (providers wire at most the four mesh ports plus LOCAL
   and RF, so router microarchitecture is shared), and
-  :meth:`opposite_port`;
+  :meth:`opposite_port`.  ``neighbors`` is the override point only: it
+  is evaluated once, at construction, into the immutable
+  :attr:`adjacency` (per router, ``(int(port), neighbor)`` pairs in
+  ``neighbors`` order), and every consumer — routing tables, the escape
+  proof, fault maps, network wiring, distances — reads that;
 * **a minimal-route function** — :meth:`min_port`, the deterministic
   minimal next hop used for table tie-breaking and as the mesh-only
   adaptive fallback (the mesh's is classic XY);
@@ -51,8 +55,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.params import TopologyParams
@@ -96,6 +100,22 @@ OPPOSITE_PORT: dict[Port, Port] = {
 }
 
 
+def bfs_hops(
+    adjacency: Sequence[Sequence[tuple[int, int]]], root: int
+) -> list[int]:
+    """Hop count from ``root`` over ``(port, node)`` adjacency lists (-1: unreached)."""
+    dist = [-1] * len(adjacency)
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for _, u in adjacency[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
 @dataclass
 class TopologyProvider:
     """Shared grid machinery behind every first-party provider.
@@ -133,6 +153,12 @@ class TopologyProvider:
             raise ValueError("memory ports are restricted to the 4 corners")
         self._kinds: list[NodeKind] = self._assign_kinds()
         self._clusters = self._build_cache_clusters()
+        #: Per router, ``(int(port), neighbor)`` in :meth:`neighbors` order
+        #: (that order fixes every BFS tie-break downstream).
+        self.adjacency: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple((int(port), nbr) for port, nbr in self.neighbors(r).items())
+            for r in range(self.num_routers)
+        )
 
     # -- router-grid geometry -------------------------------------------
 
@@ -287,7 +313,11 @@ class TopologyProvider:
     # -- connectivity ---------------------------------------------------
 
     def neighbors(self, router: int) -> dict[Port, int]:
-        """Neighbors of a router, keyed by the outgoing port (no wrap)."""
+        """Neighbors of a router, keyed by the outgoing port (no wrap).
+
+        The provider's one connectivity rule, evaluated once per router
+        into :attr:`adjacency` at construction; consumers read that.
+        """
         x, y = self.coord(router)
         result: dict[Port, int] = {}
         for port, (dx, dy) in PORT_STEP.items():
@@ -303,17 +333,7 @@ class TopologyProvider:
 
     def mesh_links(self) -> list[tuple[int, int]]:
         """All directed inter-router links ``(src, dst)``."""
-        links = []
-        for r in range(self.num_routers):
-            links.extend((r, n) for n in self.neighbors(r).values())
-        return links
-
-    def grid_graph(self) -> "nx.DiGraph":
-        """The router graph as a directed graph (used by shortcut selection)."""
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.num_routers))
-        g.add_edges_from(self.mesh_links())
-        return g
+        return [(r, n) for r, adj in enumerate(self.adjacency) for _, n in adj]
 
     # -- routing --------------------------------------------------------
 
@@ -332,21 +352,13 @@ class TopologyProvider:
         """APSP hop-count matrix over the provider graph (int32).
 
         The seed matrix of shortcut selection.  The base implementation
-        runs one BFS per router over :meth:`neighbors`, correct for any
+        runs one BFS per router over :attr:`adjacency`, correct for any
         connected provider; grid providers with a closed form override it.
         """
         n = self.num_routers
         dist = np.zeros((n, n), dtype=np.int32)
         for src in range(n):
-            row = [-1] * n
-            row[src] = 0
-            queue = deque([src])
-            while queue:
-                v = queue.popleft()
-                for nbr in self.neighbors(v).values():
-                    if row[nbr] < 0:
-                        row[nbr] = row[v] + 1
-                        queue.append(nbr)
+            row = bfs_hops(self.adjacency, src)
             if min(row) < 0:
                 raise ValueError(f"provider graph is disconnected at {src}")
             dist[src] = row

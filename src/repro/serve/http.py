@@ -64,15 +64,22 @@ async def read_head(
     Shared by the server's request parser and the cluster router's
     response parser, so both sides of the wire bound a head at
     :data:`MAX_HEAD_BYTES`.  Raises ``ConnectionResetError`` when the peer
-    closed before sending anything and :class:`_BadRequest` past the bound.
+    closed before sending anything and :class:`_BadRequest` past the bound
+    (also for a single line longer than the reader's buffer limit).
     """
-    first = await reader.readline()
+    async def readline() -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError as exc:   # one line past the reader's limit
+            raise _BadRequest(f"{what} head too large") from exc
+
+    first = await readline()
     if not first:
         raise ConnectionResetError(f"empty {what}")
     headers: dict[str, str] = {}
     head_bytes = len(first)
     while True:
-        line = await reader.readline()
+        line = await readline()
         head_bytes += len(line)
         if head_bytes > MAX_HEAD_BYTES:
             raise _BadRequest(f"{what} head too large")
@@ -80,6 +87,20 @@ async def read_head(
             return first, headers
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
+
+
+def content_length(headers: dict[str, str]) -> int:
+    """The body length a head declares (0 when absent).
+
+    Shared by the server's request parser and the cluster router's
+    response parser.  Only plain ASCII digits are accepted: a sign
+    (``-1``) or ``int()``'s extras (``1_0``) raise :class:`_BadRequest`
+    rather than mis-framing the body and the next request on the wire.
+    """
+    raw = headers.get("content-length", "0")
+    if not (raw.isascii() and raw.isdigit()):
+        raise _BadRequest(f"bad Content-Length {raw!r}")
+    return int(raw)
 
 
 async def _read_request(
@@ -91,10 +112,7 @@ async def _read_request(
         method, path, version = request_line.decode("ascii").split()
     except ValueError as exc:
         raise _BadRequest("malformed request line") from exc
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError as exc:
-        raise _BadRequest("bad Content-Length") from exc
+    length = content_length(headers)
     if length > MAX_BODY_BYTES:
         raise _BadRequest("request body too large")
     body = await reader.readexactly(length) if length > 0 else b""

@@ -1,23 +1,17 @@
 """Single source of the package version string.
 
-``package_version()`` prefers the installed distribution metadata (what
-``pip`` recorded) and falls back to the in-tree constant when the package
-runs straight off ``PYTHONPATH=src`` without being installed.  Every
-``--json`` CLI payload and every ``repro.serve`` response envelope carries
-this string so clients can gate on compatibility.
+``__version__`` is the only version string in the tree:
+``pyproject.toml`` reads it as the distribution version
+(``[tool.setuptools.dynamic]``), and every ``--json`` CLI payload and
+every ``repro.serve`` response envelope carries it so clients can gate
+on compatibility.
 """
 
 from __future__ import annotations
 
-from importlib import metadata
-
-#: In-tree fallback; keep in sync with ``pyproject.toml``.
 __version__ = "1.0.0"
 
 
 def package_version() -> str:
-    """The version clients should see (installed metadata, else in-tree)."""
-    try:
-        return metadata.version("repro")
-    except metadata.PackageNotFoundError:
-        return __version__
+    """The version clients see."""
+    return __version__

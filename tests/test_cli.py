@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +76,31 @@ class TestVersion:
         import repro
 
         assert repro.__version__ == package_version()
+
+    @pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`")
+    def test_pyproject_reads_the_one_version(self):
+        import repro
+
+        pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+        root = Path(repro.__file__).resolve().parents[2]
+        config = pyprojecttoml.read_configuration(
+            str(root / "pyproject.toml"), expand=True)
+        assert config["project"]["version"] == repro.__version__
+        assert not any(dep.startswith("networkx")
+                       for dep in config["project"]["dependencies"])
+
+    def test_import_leaves_networkx_out(self):
+        """networkx is a test-only oracle, never a runtime import."""
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro, repro.cli; print('networkx' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "False"
 
 
 class TestErrorContract:

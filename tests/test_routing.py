@@ -71,7 +71,9 @@ class TestTables:
             Shortcut(topo.router_id(0, 5), topo.router_id(9, 5)),
         ]
         tables = RoutingTables(topo, shortcuts)
-        g = topo.grid_graph()
+        g = nx.DiGraph(
+            (r, n) for r, adj in enumerate(topo.adjacency) for _, n in adj
+        )
         g.add_edges_from((s.src, s.dst) for s in shortcuts)
         lengths = dict(nx.all_pairs_shortest_path_length(g))
         for src in range(0, 100, 7):

@@ -12,6 +12,7 @@ compute -> warm store hit with an identical stats digest -> reconciled
 import asyncio
 import concurrent.futures
 import json
+import socket
 import threading
 
 import pytest
@@ -162,6 +163,27 @@ class TestReadHead:
     def test_peer_closing_first_is_a_reset(self):
         with pytest.raises(ConnectionResetError):
             self.read(b"", "response")
+
+    def test_line_past_the_reader_limit_is_a_bad_request(self):
+        # One 70 KiB header line overruns StreamReader's 64 KiB line
+        # limit before the head-size bound is ever checked.
+        flood = b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * 70 * 1024 + b"\r\n\r\n"
+        with pytest.raises(ValueError, match="request head too large"):
+            self.read(flood, "request")
+
+    @pytest.mark.parametrize("raw,length", [("0", 0), ("17", 17), (None, 0)])
+    def test_content_length_accepts_plain_digits(self, raw, length):
+        from repro.serve.http import content_length
+
+        headers = {} if raw is None else {"content-length": raw}
+        assert content_length(headers) == length
+
+    @pytest.mark.parametrize("raw", ["-1", "+5", "1_0", "", "0x10", "\u00b2"])
+    def test_content_length_refuses_everything_else(self, raw):
+        from repro.serve.http import content_length
+
+        with pytest.raises(ValueError, match="bad Content-Length"):
+            content_length({"content-length": raw})
 
 
 # -- scheduler (stub executor: no processes, deterministic) ------------------
@@ -648,6 +670,45 @@ class TestRetryBackoff:
                                             jitter=rng)
         assert result.status == 400
         assert sleeps == []
+
+
+class TestHostileFraming:
+    """Mis-framed requests get the 400 envelope and never reach a handler."""
+
+    @staticmethod
+    def refused(live_server, raw: bytes) -> dict:
+        client, service = live_server
+        before = service.reconciliation()["requests"]
+        with socket.create_connection((client.host, client.port),
+                                      timeout=60) as sock:
+            sock.sendall(raw)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        # Exactly one envelope: nothing after it was served as a request.
+        payload = json.loads(body)
+        assert payload["status"] == "error"
+        assert service.reconciliation()["requests"] == before
+        return payload
+
+    def test_negative_content_length(self, live_server):
+        smuggled = b"POST /v1/simulate HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+        payload = self.refused(
+            live_server,
+            b"POST /v1/simulate HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+            + smuggled,
+        )
+        assert "bad Content-Length" in payload["error"]
+
+    def test_header_line_past_the_reader_limit(self, live_server):
+        payload = self.refused(
+            live_server,
+            b"POST /v1/simulate HTTP/1.1\r\nX-Pad: " + b"a" * 70 * 1024
+            + b"\r\nContent-Length: 2\r\n\r\n{}",
+        )
+        assert "request head too large" in payload["error"]
 
 
 class TestDrainEndpoint:

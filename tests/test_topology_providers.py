@@ -240,6 +240,18 @@ class TestProviderGraphs:
         assert dist.max() < topo.num_routers
 
     @pytest.mark.parametrize("name", ["mesh", "cmesh", "torus"])
+    def test_adjacency_is_neighbors_evaluated_once(self, name):
+        topo = build_topology(TopologyParams(), provider=name)
+        assert topo.adjacency == tuple(
+            tuple((int(p), n) for p, n in topo.neighbors(r).items())
+            for r in range(topo.num_routers)
+        )
+        assert topo.mesh_links() == [
+            (r, n) for r in range(topo.num_routers)
+            for n in topo.neighbors(r).values()
+        ]
+
+    @pytest.mark.parametrize("name", ["mesh", "cmesh", "torus"])
     def test_neighbor_links_are_bidirectional(self, name):
         topo = build_topology(TopologyParams(), provider=name)
         for router in range(topo.num_routers):
